@@ -7,6 +7,17 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The job server must not depend on the figure-driver crate (nor,
+# through it, on the analytical cost models): dependencies point from
+# the drivers to the server, never back.
+echo "==> dependency direction (retrsu-serve lists neither bench nor uarch)"
+serve_deps=$(cargo tree -p retrsu-serve -e normal --offline --prefix none)
+if grep -Eq '^(bench|uarch) ' <<<"$serve_deps"; then
+    echo "retrsu-serve depends on:" >&2
+    grep -E '^(bench|uarch) ' <<<"$serve_deps" | sort -u >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
@@ -24,7 +35,7 @@ cargo build --workspace --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> trace write/read round trip (emit JSONL, re-parse with bench::minijson)"
+echo "==> trace write/read round trip (emit JSONL, re-parse with chain::minijson)"
 cargo run --release -q -p bench --bin trace_roundtrip
 
 echo "==> checkpoint write/resume round trip (kill mid-run, reload, bit-identical resume)"

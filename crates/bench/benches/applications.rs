@@ -2,8 +2,10 @@
 //! stereo problem per sampler kind — the simulator-side analogue of the
 //! paper's Table II rows.
 
-use bench::{annealing_schedule, SamplerKind};
+use chain::app::annealing_schedule;
+use chain::{Chain, Engine, SamplerKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mrf::NoopObserver;
 use vision::StereoModel;
 
 fn bench_stereo_sweep(c: &mut Criterion) {
@@ -20,14 +22,21 @@ fn bench_stereo_sweep(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements((48 * 36 * 10) as u64));
     for kind in [
-        SamplerKind::Software,
-        SamplerKind::NewRsu,
-        SamplerKind::PreviousRsu,
+        SamplerKind::software(),
+        SamplerKind::new_rsu(),
+        SamplerKind::previous_rsu(),
     ] {
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &kind,
-            |b, kind| b.iter(|| black_box(kind.run(&model, annealing_schedule(), 1, 7))),
+            |b, kind| {
+                b.iter(|| {
+                    let mut chain = Chain::new(&model, annealing_schedule(), 7);
+                    let mut engine = Engine::Raster(kind.clone());
+                    chain.step(&model, &mut engine, 1, None, &mut NoopObserver);
+                    black_box(chain.into_field())
+                })
+            },
         );
     }
     group.finish();

@@ -3,10 +3,11 @@
 //! (ICM, Graph Cuts, loopy BP) — the wall-clock side of the taxonomy
 //! table in `baselines.rs`.
 
-use bench::SamplerKind;
+use chain::{Chain, Engine, SamplerKind};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrf::{
-    alpha_expansion, belief_propagation, IcmSampler, LabelField, MrfModel, Schedule, SweepSolver,
+    alpha_expansion, belief_propagation, IcmSampler, LabelField, MrfModel, NoopObserver, Schedule,
+    SweepSolver,
 };
 use rand::SeedableRng;
 use sampling::Xoshiro256pp;
@@ -25,15 +26,22 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("stereo_solver_32x24_8l");
     group.sample_size(10);
 
+    let mcmc = |sampler: SamplerKind| {
+        let mut chain = Chain::new(&model, Schedule::geometric(30.0, 0.9, 0.4), 7);
+        chain.step(
+            &model,
+            &mut Engine::Raster(sampler),
+            60,
+            None,
+            &mut NoopObserver,
+        );
+        chain.into_field()
+    };
     group.bench_function("mcmc_software_60it", |b| {
-        b.iter(|| {
-            black_box(SamplerKind::Software.run(&model, Schedule::geometric(30.0, 0.9, 0.4), 60, 7))
-        })
+        b.iter(|| black_box(mcmc(SamplerKind::software())))
     });
     group.bench_function("mcmc_new_rsug_60it", |b| {
-        b.iter(|| {
-            black_box(SamplerKind::NewRsu.run(&model, Schedule::geometric(30.0, 0.9, 0.4), 60, 7))
-        })
+        b.iter(|| black_box(mcmc(SamplerKind::new_rsu())))
     });
     group.bench_function("icm_15it", |b| {
         b.iter(|| {

@@ -4,7 +4,9 @@
 //! with the Middlebury-style subregion decomposition the paper mentions
 //! (occluded / textureless / discontinuity).
 
-use bench::{annealing_schedule, run_stereo, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, table, write_csv};
+use chain::app::{STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT};
+use chain::SamplerKind;
 use mrf::{
     alpha_expansion, belief_propagation, total_energy, IcmSampler, LabelField, MrfModel, Schedule,
     SweepSolver,
@@ -21,8 +23,8 @@ fn main() {
         &ds.left,
         &ds.right,
         ds.num_disparities,
-        bench::STEREO_DATA_WEIGHT,
-        bench::STEREO_SMOOTH_WEIGHT,
+        STEREO_DATA_WEIGHT,
+        STEREO_SMOOTH_WEIGHT,
     )
     .expect("generated datasets are consistent");
     let regions = compute_regions(&ds.left, &ds.ground_truth, &ds.occlusion, 4.0, 1);
@@ -67,15 +69,14 @@ fn main() {
     alpha_expansion(&model, &mut f_gc).expect("absolute distance is a metric");
     push("GraphCuts", &f_gc, t0.elapsed().as_secs_f64());
 
-    // MCMC software and RSU-G (reuse the shared driver so the annealing
+    // MCMC software and RSU-G (the shared stereo chain, so the annealing
     // protocol matches the rest of the evaluation).
     let t0 = std::time::Instant::now();
-    let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-    push("MCMC(float)", &sw.field, t0.elapsed().as_secs_f64());
+    let (sw, _) = solve_stereo(&ds, SamplerKind::software());
+    push("MCMC(float)", &sw, t0.elapsed().as_secs_f64());
     let t0 = std::time::Instant::now();
-    let hw = run_stereo(&ds, &SamplerKind::NewRsu, STEREO_ITERATIONS, 11, 1);
-    push("new-RSUG", &hw.field, t0.elapsed().as_secs_f64());
-    let _ = annealing_schedule();
+    let (hw, _) = solve_stereo(&ds, SamplerKind::new_rsu());
+    push("new-RSUG", &hw, t0.elapsed().as_secs_f64());
 
     println!(
         "{}",

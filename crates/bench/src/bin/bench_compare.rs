@@ -24,7 +24,7 @@
 //! produce a warning, not a failure — bench matrices are allowed to
 //! grow, and schema drift degrades to comparing the intersection.
 
-use bench::minijson::{self, Value};
+use chain::minijson::{self, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

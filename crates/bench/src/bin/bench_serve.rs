@@ -35,14 +35,14 @@
 //!
 //! Usage: `bench_serve [--workers N] [--jobs N] [--quantum N]`.
 
-use bench::minijson::Value;
-use bench::trace_jsonl::parse_jsonl;
+use chain::minijson::Value;
+use chain::trace_jsonl::parse_jsonl;
 use retrsu_serve::{
     percentile, serve, validate_lifecycle, JobEvent, JobKind, JobSpec, JobState, JobTask, Priority,
     QueueLimits, ServeOutcome, ServerConfig, SliceStatus,
 };
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
@@ -499,12 +499,7 @@ fn main() {
         open_json.join(",\n      "),
         closed_json.join(",\n      "),
     );
-    // CARGO_MANIFEST_DIR of this crate is <root>/crates/serve.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crate lives two levels under the workspace root");
-    let path = root.join("BENCH_serve.json");
+    let path = bench::workspace_root().join("BENCH_serve.json");
     let mut file = std::fs::File::create(&path).expect("can create BENCH_serve.json");
     file.write_all(json.as_bytes())
         .expect("can write BENCH_serve.json");

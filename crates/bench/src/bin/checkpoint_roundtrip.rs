@@ -1,17 +1,84 @@
 //! CI gate: exercises the checkpoint write → resume path end to end on
-//! a real file — a sequential chain and a parallel chain are each
-//! killed mid-run, checkpointed to disk, reloaded and resumed, and the
-//! resumed fields must equal the uninterrupted references bit for bit
-//! (the parallel chain resuming on a different thread count than it
-//! was killed on). Exits non-zero on any divergence.
+//! a real file — a sequential (raster) chain and a parallel
+//! (checkerboard) chain are each killed mid-run, checkpointed to disk,
+//! reloaded and resumed, and the resumed fields must equal the
+//! uninterrupted references bit for bit (the parallel chain resuming on
+//! a different thread count than it was killed on). A chain stepped in
+//! checkpoint-interval chunks must also equal one stepped in one go.
+//! Exits non-zero on any divergence.
 
-use bench::checkpoint::{run_model_checkpointed, run_model_parallel_checkpointed, CheckpointCtl};
-use mrf::{Checkpoint, DistanceFn, NoopObserver, Schedule, SoftwareGibbs, TabularMrf};
+use bench::checkpoint::CheckpointCtl;
+use chain::{Chain, Engine, SamplerKind};
+use mrf::{Checkpoint, DistanceFn, LabelField, NoopObserver, NumericPolicy, Schedule, TabularMrf};
+use std::path::Path;
 use std::process::ExitCode;
 
 const ITERATIONS: usize = 24;
 const KILL_AT: usize = 11;
 const SEED: u64 = 2024;
+
+fn raster(_threads: usize) -> Engine<'static> {
+    Engine::Raster(SamplerKind::software())
+}
+
+fn checkerboard(threads: usize) -> Engine<'static> {
+    Engine::Checkerboard {
+        sampler: SamplerKind::software(),
+        threads,
+        numeric: NumericPolicy::Exact,
+        active: false,
+    }
+}
+
+/// One gated engine: display name, run label, engine at a thread
+/// count, and the kill and resume thread counts.
+type Case = (
+    &'static str,
+    &'static str,
+    fn(usize) -> Engine<'static>,
+    usize,
+    usize,
+);
+
+/// Kills the chain at [`KILL_AT`], reloads its checkpoint from `path`
+/// and finishes it; `Err` describes what went wrong.
+fn kill_and_resume(
+    model: &TabularMrf,
+    schedule: Schedule,
+    (_, label, engine, kill_threads, resume_threads): Case,
+    path: &Path,
+) -> Result<LabelField, String> {
+    CheckpointCtl::new(Some(KILL_AT), path.to_path_buf(), None).run(
+        label,
+        model,
+        schedule,
+        SEED,
+        &mut engine(kill_threads),
+        KILL_AT,
+    );
+    let checkpoint = Checkpoint::load(path).map_err(|e| format!("reload failed: {e}"))?;
+    if checkpoint.next_iteration != KILL_AT {
+        return Err(format!(
+            "checkpoint is at sweep {}, expected {KILL_AT}",
+            checkpoint.next_iteration
+        ));
+    }
+    let raster = matches!(engine(1), Engine::Raster(_));
+    if raster != checkpoint.rng_state.is_some() {
+        return Err("exactly the raster checkpoints carry sequential RNG words".into());
+    }
+    let mut ctl = CheckpointCtl::new(None, path.to_path_buf(), Some(checkpoint));
+    Ok(ctl
+        .run(
+            label,
+            model,
+            schedule,
+            SEED,
+            &mut engine(resume_threads),
+            ITERATIONS,
+        )
+        .into_field())
+}
 
 fn main() -> ExitCode {
     let model = TabularMrf::checkerboard(14, 12, 3, 5.0, DistanceFn::Binary, 0.4);
@@ -22,144 +89,50 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Sequential engine: kill at KILL_AT, resume from disk.
-    let path = dir.join("sequential.ckpt");
-    let reference = bench::SamplerKind::Software.run_checkpointed(
-        &model,
-        schedule,
-        ITERATIONS,
-        SEED,
-        "gate/seq",
-        &mut CheckpointCtl::disabled(),
-    );
-    {
-        let mut ctl = CheckpointCtl::new(Some(KILL_AT), path.clone(), None);
-        bench::SamplerKind::Software
-            .run_checkpointed(&model, schedule, KILL_AT, SEED, "gate/seq", &mut ctl);
-    }
-    let checkpoint = match Checkpoint::load(&path) {
-        Ok(cp) => cp,
-        Err(e) => {
-            eprintln!("checkpoint_roundtrip: reload failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if checkpoint.next_iteration != KILL_AT || checkpoint.rng_state.is_none() {
-        eprintln!(
-            "checkpoint_roundtrip: bad sequential checkpoint (next {}, rng {:?})",
-            checkpoint.next_iteration,
-            checkpoint.rng_state.is_some()
-        );
-        return ExitCode::FAILURE;
-    }
-    let resumed = bench::SamplerKind::Software.run_checkpointed(
-        &model,
-        schedule,
-        ITERATIONS,
-        SEED,
-        "gate/seq",
-        &mut CheckpointCtl::new(None, path.clone(), Some(checkpoint)),
-    );
-    if resumed != reference {
-        eprintln!("checkpoint_roundtrip: sequential resume diverged from the uninterrupted run");
-        return ExitCode::FAILURE;
-    }
-
-    // Parallel engine: kill on 2 threads, resume on 7.
-    let path = dir.join("parallel.ckpt");
-    let reference = {
-        let mut ctl = CheckpointCtl::disabled();
-        run_model_parallel_checkpointed(
-            &model,
-            &SoftwareGibbs::new(),
-            schedule,
-            ITERATIONS,
-            SEED,
-            1,
+    let cases: [Case; 2] = [
+        ("sequential", "gate/seq", raster, 1, 1),
+        (
+            "parallel (2t kill → 7t resume)",
             "gate/par",
-            &mut ctl,
-            &mut NoopObserver,
-        )
-    };
-    {
-        let mut ctl = CheckpointCtl::new(Some(KILL_AT), path.clone(), None);
-        run_model_parallel_checkpointed(
-            &model,
-            &SoftwareGibbs::new(),
-            schedule,
-            KILL_AT,
-            SEED,
+            checkerboard,
             2,
-            "gate/par",
-            &mut ctl,
-            &mut NoopObserver,
+            7,
+        ),
+    ];
+    for case in cases {
+        let (name, label, engine, _, _) = case;
+        // The uninterrupted reference runs on one thread.
+        let mut reference = Chain::new(&model, schedule, SEED);
+        reference.step(&model, &mut engine(1), ITERATIONS, None, &mut NoopObserver);
+        let path = dir.join(format!("{}.ckpt", label.replace('/', "-")));
+        match kill_and_resume(&model, schedule, case, &path) {
+            Ok(resumed) if &resumed == reference.field() => {}
+            Ok(_) => {
+                eprintln!(
+                    "checkpoint_roundtrip: {name} resume diverged from the uninterrupted run"
+                );
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("checkpoint_roundtrip: {name}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+        // Checkpoint-interval chunking must not change the chain.
+        let chunked = CheckpointCtl::new(Some(5), path.clone(), None).run(
+            label,
+            &model,
+            schedule,
+            SEED,
+            &mut engine(1),
+            ITERATIONS,
         );
-    }
-    let checkpoint = match Checkpoint::load(&path) {
-        Ok(cp) => cp,
-        Err(e) => {
-            eprintln!("checkpoint_roundtrip: parallel reload failed: {e}");
+        if chunked.field() != reference.field()
+            || chunked.energy_history() != reference.energy_history()
+        {
+            eprintln!("checkpoint_roundtrip: {name} chain drifted when stepped in chunks");
             return ExitCode::FAILURE;
         }
-    };
-    let resumed = {
-        let mut ctl = CheckpointCtl::new(None, path.clone(), Some(checkpoint));
-        run_model_parallel_checkpointed(
-            &model,
-            &SoftwareGibbs::new(),
-            schedule,
-            ITERATIONS,
-            SEED,
-            7,
-            "gate/par",
-            &mut ctl,
-            &mut NoopObserver,
-        )
-    };
-    if resumed != reference {
-        eprintln!(
-            "checkpoint_roundtrip: parallel resume (2t kill → 7t resume) diverged from the \
-             uninterrupted 1t run"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // The sequential version of run_model_checkpointed is also reachable
-    // through the erased-sampler path used by the drivers; cover it.
-    let via_erased = {
-        struct Shim(SoftwareGibbs);
-        impl bench::ErasedSampler for Shim {
-            fn begin_iteration(&mut self, t: f64) {
-                use mrf::SiteSampler;
-                self.0.begin_iteration(t);
-            }
-            fn sample_label(
-                &mut self,
-                energies: &[f64],
-                temperature: f64,
-                current: mrf::Label,
-                rng: &mut sampling::Xoshiro256pp,
-            ) -> mrf::Label {
-                use mrf::SiteSampler;
-                self.0.sample_label(energies, temperature, current, rng)
-            }
-        }
-        let mut ctl = CheckpointCtl::disabled();
-        run_model_checkpointed(
-            &model,
-            &mut Shim(SoftwareGibbs::new()),
-            schedule,
-            ITERATIONS,
-            SEED,
-            "gate/seq",
-            &mut ctl,
-            &mut NoopObserver,
-        )
-    };
-    let plain_reference = bench::SamplerKind::Software.run(&model, schedule, ITERATIONS, SEED);
-    if via_erased != plain_reference {
-        eprintln!("checkpoint_roundtrip: checkpointed runner drifted from the plain runner");
-        return ExitCode::FAILURE;
     }
 
     println!(

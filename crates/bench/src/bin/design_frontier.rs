@@ -5,9 +5,9 @@
 //! sampling-fidelity error (`rsu::analysis`), then prints the Pareto
 //! frontier of (sampling area, worst λ-ratio error).
 
-use bench::minijson::Value;
-use bench::trace_jsonl::JsonlTraceWriter;
 use bench::{table, write_csv};
+use chain::minijson::Value;
+use chain::trace_jsonl::JsonlTraceWriter;
 use rsu::DegradePolicy;
 use std::path::{Path, PathBuf};
 use uarch::degrade::{degraded_design_points, DegradedDesignPoint, DegradedStudySpec};

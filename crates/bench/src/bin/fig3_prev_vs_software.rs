@@ -1,24 +1,25 @@
 //! Figure 3: software-only vs previous RSU-G result quality (BP) across
 //! the three stereo datasets.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, stereo_suite, table, write_csv};
+use chain::SamplerKind;
 
 fn main() {
     println!("Fig. 3 — Software-only vs previous RSU-G stereo quality (bad-pixel %)\n");
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let prev = run_stereo(&ds, &SamplerKind::PreviousRsu, STEREO_ITERATIONS, 11, 1);
+        let (_, sw_bp) = solve_stereo(&ds, SamplerKind::software());
+        let (_, prev_bp) = solve_stereo(&ds, SamplerKind::previous_rsu());
         rows.push(vec![
             name.to_owned(),
             format!("{}", ds.num_disparities),
-            format!("{:.1}", sw.bp),
-            format!("{:.1}", prev.bp),
+            format!("{sw_bp:.1}"),
+            format!("{prev_bp:.1}"),
         ]);
         csv.push(format!(
-            "{name},{},{:.3},{:.3}",
-            ds.num_disparities, sw.bp, prev.bp
+            "{name},{},{sw_bp:.3},{prev_bp:.3}",
+            ds.num_disparities
         ));
     }
     println!(

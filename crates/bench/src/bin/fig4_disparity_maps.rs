@@ -2,7 +2,8 @@
 //! and previous-RSU-G disparity map for the teddy-like dataset, written
 //! as PGM images.
 
-use bench::{artifacts_dir, run_stereo, SamplerKind, STEREO_ITERATIONS};
+use bench::{artifacts_dir, solve_stereo};
+use chain::SamplerKind;
 use vision::image::labels_to_image;
 
 fn main() {
@@ -15,18 +16,15 @@ fn main() {
     labels_to_image(&ds.ground_truth)
         .save_pgm(dir.join("fig4b_ground_truth.pgm"))
         .expect("write pgm");
-    let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-    labels_to_image(&sw.field)
+    let (sw, sw_bp) = solve_stereo(&ds, SamplerKind::software());
+    labels_to_image(&sw)
         .save_pgm(dir.join("fig4c_software.pgm"))
         .expect("write pgm");
-    let prev = run_stereo(&ds, &SamplerKind::PreviousRsu, STEREO_ITERATIONS, 11, 1);
-    labels_to_image(&prev.field)
+    let (prev, prev_bp) = solve_stereo(&ds, SamplerKind::previous_rsu());
+    labels_to_image(&prev)
         .save_pgm(dir.join("fig4d_prev_rsug.pgm"))
         .expect("write pgm");
-    println!(
-        "software BP {:.1} %   previous RSU-G BP {:.1} %",
-        sw.bp, prev.bp
-    );
+    println!("software BP {sw_bp:.1} %   previous RSU-G BP {prev_bp:.1} %");
     println!(
         "wrote fig4a_left / fig4b_ground_truth / fig4c_software / fig4d_prev_rsug under {}",
         dir.display()

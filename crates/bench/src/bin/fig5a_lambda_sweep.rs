@@ -9,11 +9,12 @@
 //! Per the paper's staged methodology, energy stays at 8 bits and time
 //! precision is effectively unconstrained (12 bits, truncation 0.02).
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, stereo_suite, table, write_csv};
+use chain::SamplerKind;
 use rsu::{Conversion, RsuConfig};
 
 fn variant(lambda_bits: u32, scaling: bool, cutoff: bool, pow2: bool) -> SamplerKind {
-    SamplerKind::Custom(
+    SamplerKind::custom(
         RsuConfig::builder()
             .lambda_bits(lambda_bits)
             .decay_rate_scaling(scaling)
@@ -46,10 +47,9 @@ fn main() {
         let mut cells = vec![format!("{lambda_bits}")];
         let mut csv_cells = vec![format!("{lambda_bits}")];
         for (_, make) in &variants {
-            let kind = make(lambda_bits);
             let mut total = 0.0;
             for (_, ds) in &suite {
-                total += run_stereo(ds, &kind, STEREO_ITERATIONS, 11, 1).bp;
+                total += solve_stereo(ds, make(lambda_bits)).1;
             }
             let avg = total / suite.len() as f64;
             cells.push(format!("{avg:.1}"));

@@ -1,13 +1,14 @@
 //! Figure 5b: per-dataset stereo BP at `Lambda_bits = 4` with the full
 //! techniques (scaling + cut-off + 2^n), against the software baseline.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, stereo_suite, table, write_csv};
+use chain::SamplerKind;
 use rsu::{Conversion, RsuConfig};
 
 fn main() {
     println!("Fig. 5b — per-dataset BP at Lambda_bits = 4 (full techniques)\n");
     // Stage-isolated configuration: time still effectively unconstrained.
-    let rsu = SamplerKind::Custom(
+    let rsu = SamplerKind::custom(
         RsuConfig::builder()
             .lambda_bits(4)
             .conversion(Conversion::Lut)
@@ -19,15 +20,15 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let hw = run_stereo(&ds, &rsu, STEREO_ITERATIONS, 11, 1);
+        let (_, sw_bp) = solve_stereo(&ds, SamplerKind::software());
+        let (_, hw_bp) = solve_stereo(&ds, rsu.clone());
         rows.push(vec![
             name.to_owned(),
-            format!("{:.1}", sw.bp),
-            format!("{:.1}", hw.bp),
-            format!("{:+.1}", hw.bp - sw.bp),
+            format!("{sw_bp:.1}"),
+            format!("{hw_bp:.1}"),
+            format!("{:+.1}", hw_bp - sw_bp),
         ]);
-        csv.push(format!("{name},{:.3},{:.3}", sw.bp, hw.bp));
+        csv.push(format!("{name},{sw_bp:.3},{hw_bp:.3}"));
     }
     println!(
         "{}",

@@ -14,9 +14,11 @@
 //! degrades at low truncation (time-bin compression) and at very high
 //! truncation (over-truncation), and improves with more time bits.
 
-use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{table, write_csv, SamplerKind};
-use mrf::{potential_scale_reduction, EnergyTrace, FanOut, MrfModel, Schedule};
+use bench::{table, write_csv};
+use chain::app::{STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT};
+use chain::trace_jsonl::JsonlTraceWriter;
+use chain::{Chain, Engine, SamplerKind};
+use mrf::{potential_scale_reduction, EnergyTrace, FanOut, MrfModel, NumericPolicy, Schedule};
 use rsu::{CensoredPolicy, CycleAccuratePipeline, DesignKind, RsuConfig};
 use vision::metrics::bad_pixel_percentage;
 use vision::StereoModel;
@@ -48,22 +50,18 @@ fn main() {
         &ds.left,
         &ds.right,
         ds.num_disparities,
-        bench::STEREO_DATA_WEIGHT,
-        bench::STEREO_SMOOTH_WEIGHT,
+        STEREO_DATA_WEIGHT,
+        STEREO_SMOOTH_WEIGHT,
     )
     .expect("generated datasets are consistent");
     let schedule = Schedule::constant(TEMPERATURE);
 
-    let mut run = |kind: SamplerKind, label: &str| {
-        if threads > 1 {
-            kind.run_parallel_checkpointed(
-                &model, schedule, ITERATIONS, 11, threads, label, &mut ckpt,
-            )
-        } else {
-            kind.run_checkpointed(&model, schedule, ITERATIONS, 11, label, &mut ckpt)
-        }
+    let mut run = |sampler: SamplerKind, label: &str| {
+        let mut engine = Engine::solver(sampler, threads, NumericPolicy::Exact, false);
+        ckpt.run(label, &model, schedule, 11, &mut engine, ITERATIONS)
+            .into_field()
     };
-    let sw_field = run(SamplerKind::Software, "fig8/software");
+    let sw_field = run(SamplerKind::software(), "fig8/software");
     let sw_bp = bad_pixel_percentage(&sw_field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
 
     let mut rows = Vec::new();
@@ -79,7 +77,7 @@ fn main() {
                 .build()
                 .expect("valid sweep point");
             let field = run(
-                SamplerKind::Custom(cfg),
+                SamplerKind::custom(cfg),
                 &format!("fig8/tb{bits}/tr{trunc}"),
             );
             let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
@@ -139,9 +137,9 @@ fn write_trace(
         .censored_policy(CensoredPolicy::ClampToTMax)
         .build()
         .expect("the starred design point is valid");
-    for (config, kind) in [
-        ("software", SamplerKind::Software),
-        ("starred-RSUG", SamplerKind::Custom(starred)),
+    for (config, sampler) in [
+        ("software", SamplerKind::software()),
+        ("starred-RSUG", SamplerKind::custom(starred)),
     ] {
         let mut chains: Vec<EnergyTrace> = Vec::new();
         for &seed in &TRACE_SEEDS {
@@ -151,18 +149,15 @@ fn write_trace(
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                if threads > 1 {
-                    kind.run_parallel_observed(
-                        model,
-                        schedule,
-                        ITERATIONS,
-                        seed,
-                        threads,
-                        &mut observers,
-                    );
-                } else {
-                    kind.run_observed(model, schedule, ITERATIONS, seed, &mut observers);
-                }
+                let mut engine =
+                    Engine::solver(sampler.clone(), threads, NumericPolicy::Exact, false);
+                Chain::new(model, schedule, seed).step(
+                    model,
+                    &mut engine,
+                    ITERATIONS,
+                    None,
+                    &mut observers,
+                );
             }
             chains.push(energy);
         }

@@ -6,9 +6,12 @@
 //! those knobs is gated against the f64 oracle (DESIGN §12), not
 //! bit-identical to the default run.
 
-use bench::checkpoint::{run_stereo_checkpointed_numeric, CheckpointCtl};
-use bench::{stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::checkpoint::CheckpointCtl;
+use bench::{stereo_suite, table, write_csv};
+use chain::app::STEREO_ITERATIONS;
+use chain::{App, Engine, SamplerKind};
 use mrf::NumericPolicy;
+use vision::metrics::rms_error;
 
 fn main() {
     let numeric = bench::numeric_from_args();
@@ -25,39 +28,34 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in stereo_suite() {
-        let sw = run_stereo_checkpointed_numeric(
-            &ds,
-            &SamplerKind::Software,
-            STEREO_ITERATIONS,
-            11,
-            1,
-            numeric,
-            active,
-            &format!("fig9a/{name}/software"),
-            &mut ckpt,
-        );
-        let hw = run_stereo_checkpointed_numeric(
-            &ds,
-            &SamplerKind::NewRsu,
-            STEREO_ITERATIONS,
-            11,
-            1,
-            numeric,
-            active,
-            &format!("fig9a/{name}/new-RSUG"),
-            &mut ckpt,
-        );
+        let app = App::stereo(&ds).expect("generated datasets are consistent");
+        let mut run = |sampler: SamplerKind| {
+            let chain = ckpt.run(
+                &format!("fig9a/{name}/{}", sampler.name()),
+                &app,
+                app.schedule(),
+                11,
+                &mut Engine::solver(sampler, 1, numeric, active),
+                STEREO_ITERATIONS,
+            );
+            let (_, bp) = app.score(chain.field());
+            (
+                bp,
+                rms_error(chain.field(), &ds.ground_truth, Some(&ds.occlusion)),
+            )
+        };
+        let (sw_bp, sw_rms) = run(SamplerKind::software());
+        let (hw_bp, hw_rms) = run(SamplerKind::new_rsu());
         rows.push(vec![
             name.to_owned(),
-            format!("{:.1}", sw.bp),
-            format!("{:.1}", hw.bp),
-            format!("{:+.1}", hw.bp - sw.bp),
-            format!("{:.2}", sw.rms),
-            format!("{:.2}", hw.rms),
+            format!("{sw_bp:.1}"),
+            format!("{hw_bp:.1}"),
+            format!("{:+.1}", hw_bp - sw_bp),
+            format!("{sw_rms:.2}"),
+            format!("{hw_rms:.2}"),
         ]);
         csv.push(format!(
-            "{name},{:.3},{:.3},{:.4},{:.4}",
-            sw.bp, hw.bp, sw.rms, hw.rms
+            "{name},{sw_bp:.3},{hw_bp:.3},{sw_rms:.4},{hw_rms:.4}"
         ));
     }
     println!(

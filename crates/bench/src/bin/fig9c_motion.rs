@@ -1,8 +1,11 @@
 //! Figure 9c: motion-estimation endpoint error across the three flow
 //! datasets, software vs new RSU-G (49 labels, 7×7 window).
 
-use bench::checkpoint::{run_motion_checkpointed, CheckpointCtl};
-use bench::{flow_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::checkpoint::CheckpointCtl;
+use bench::{flow_suite, table, write_csv};
+use chain::app::STEREO_ITERATIONS;
+use chain::{App, Engine, SamplerKind};
+use mrf::NumericPolicy;
 
 fn main() {
     let threads = bench::threads_from_args();
@@ -14,31 +17,27 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, ds) in flow_suite() {
-        let sw = run_motion_checkpointed(
-            &ds,
-            &SamplerKind::Software,
-            STEREO_ITERATIONS,
-            21,
-            threads,
-            &format!("fig9c/{name}/software"),
-            &mut ckpt,
-        );
-        let hw = run_motion_checkpointed(
-            &ds,
-            &SamplerKind::NewRsu,
-            STEREO_ITERATIONS,
-            21,
-            threads,
-            &format!("fig9c/{name}/new-RSUG"),
-            &mut ckpt,
-        );
+        let app = App::motion(&ds).expect("generated datasets are consistent");
+        let mut run = |sampler: SamplerKind| {
+            let chain = ckpt.run(
+                &format!("fig9c/{name}/{}", sampler.name()),
+                &app,
+                app.schedule(),
+                21,
+                &mut Engine::solver(sampler, threads, NumericPolicy::Exact, false),
+                STEREO_ITERATIONS,
+            );
+            app.score(chain.field()).1
+        };
+        let sw_epe = run(SamplerKind::software());
+        let hw_epe = run(SamplerKind::new_rsu());
         rows.push(vec![
             name.to_owned(),
-            format!("{:.3}", sw.epe),
-            format!("{:.3}", hw.epe),
-            format!("{:+.3}", hw.epe - sw.epe),
+            format!("{sw_epe:.3}"),
+            format!("{hw_epe:.3}"),
+            format!("{:+.3}", hw_epe - sw_epe),
         ]);
-        csv.push(format!("{name},{:.5},{:.5}", sw.epe, hw.epe));
+        csv.push(format!("{name},{sw_epe:.5},{hw_epe:.5}"));
     }
     println!(
         "{}",

@@ -2,9 +2,11 @@
 //! across 30 images at 2/4/6/8 labels, software vs new RSU-G — mean VoI
 //! (the figure) and its standard deviation (the table).
 
-use bench::checkpoint::{run_segmentation_checkpointed_numeric, CheckpointCtl};
-use bench::trace_jsonl::JsonlTraceWriter;
-use bench::{run_segmentation_observed, table, write_csv, SamplerKind, SEGMENT_ITERATIONS};
+use bench::checkpoint::CheckpointCtl;
+use bench::{table, write_csv};
+use chain::app::SEGMENT_ITERATIONS;
+use chain::trace_jsonl::JsonlTraceWriter;
+use chain::{App, Chain, Engine, SamplerKind};
 use mrf::{potential_scale_reduction, EnergyTrace, FanOut, NumericPolicy};
 use sampling::stats::sample_std_dev;
 
@@ -42,37 +44,20 @@ fn main() {
         let mut sw_vois = Vec::with_capacity(suite.len());
         let mut hw_vois = Vec::with_capacity(suite.len());
         for (i, ds) in suite.iter().enumerate() {
-            let seed = 31 + i as u64;
-            sw_vois.push(
-                run_segmentation_checkpointed_numeric(
-                    ds,
-                    k,
-                    &SamplerKind::Software,
+            let app = App::segmentation(ds, k).expect("generated datasets are consistent");
+            let mut run = |sampler: SamplerKind| {
+                let chain = ckpt.run(
+                    &format!("fig9d/k{k}/img{i:02}/{}", sampler.name()),
+                    &app,
+                    app.schedule(),
+                    31 + i as u64,
+                    &mut Engine::solver(sampler, threads, numeric, active),
                     SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
-                    numeric,
-                    active,
-                    &format!("fig9d/k{k}/img{i:02}/software"),
-                    &mut ckpt,
-                )
-                .voi,
-            );
-            hw_vois.push(
-                run_segmentation_checkpointed_numeric(
-                    ds,
-                    k,
-                    &SamplerKind::NewRsu,
-                    SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
-                    numeric,
-                    active,
-                    &format!("fig9d/k{k}/img{i:02}/new-RSUG"),
-                    &mut ckpt,
-                )
-                .voi,
-            );
+                );
+                app.score(chain.field()).1
+            };
+            sw_vois.push(run(SamplerKind::software()));
+            hw_vois.push(run(SamplerKind::new_rsu()));
         }
         let sw_mean = sw_vois.iter().sum::<f64>() / sw_vois.len() as f64;
         let hw_mean = hw_vois.iter().sum::<f64>() / hw_vois.len() as f64;
@@ -123,10 +108,9 @@ fn main() {
 fn write_trace(path: &std::path::Path, ds: &scenes::SegmentationDataset, threads: usize) {
     let file = std::fs::File::create(path).expect("can create trace file");
     let mut writer = JsonlTraceWriter::new(std::io::BufWriter::new(file));
-    for (config, kind) in [
-        ("software", SamplerKind::Software),
-        ("new-RSUG", SamplerKind::NewRsu),
-    ] {
+    let app = App::segmentation(ds, 4).expect("generated datasets are consistent");
+    for sampler in [SamplerKind::software(), SamplerKind::new_rsu()] {
+        let config = sampler.name();
         let mut chains: Vec<EnergyTrace> = Vec::new();
         for &seed in &TRACE_SEEDS {
             writer.set_chain(&format!("{config}/seed{seed}"));
@@ -135,13 +119,13 @@ fn write_trace(path: &std::path::Path, ds: &scenes::SegmentationDataset, threads
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                run_segmentation_observed(
-                    ds,
-                    4,
-                    &kind,
+                let mut engine =
+                    Engine::solver(sampler.clone(), threads, NumericPolicy::Exact, false);
+                Chain::new(&app, app.schedule(), seed).step(
+                    &app,
+                    &mut engine,
                     SEGMENT_ITERATIONS,
-                    seed,
-                    threads,
+                    None,
                     &mut observers,
                 );
             }

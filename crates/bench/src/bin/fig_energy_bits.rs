@@ -1,7 +1,8 @@
 //! §III-C1 (reported in text, no figure number): stereo BP vs
 //! `Energy_bits` — 8 bits suffice, fewer degrade quality.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, stereo_suite, table, write_csv};
+use chain::SamplerKind;
 use rsu::RsuConfig;
 
 const ENERGY_BITS: [u32; 6] = [4, 5, 6, 7, 8, 10];
@@ -14,14 +15,14 @@ fn main() {
     // Software reference line.
     let mut sw_avg = 0.0;
     for (_, ds) in &suite {
-        sw_avg += run_stereo(ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1).bp;
+        sw_avg += solve_stereo(ds, SamplerKind::software()).1;
     }
     sw_avg /= suite.len() as f64;
     for &bits in &ENERGY_BITS {
         // Keep the energy *range* fixed: fewer bits mean a coarser LSB
         // over the same 0..255 energy span, as a narrower datapath would.
         let lsb = 255.0 / ((1u32 << bits) - 1) as f64;
-        let kind = SamplerKind::Custom(
+        let kind = SamplerKind::custom(
             RsuConfig::builder()
                 .energy_bits(bits)
                 .energy_lsb(lsb)
@@ -30,7 +31,7 @@ fn main() {
         );
         let mut avg = 0.0;
         for (_, ds) in &suite {
-            avg += run_stereo(ds, &kind, STEREO_ITERATIONS, 11, 1).bp;
+            avg += solve_stereo(ds, kind.clone()).1;
         }
         avg /= suite.len() as f64;
         rows.push(vec![

@@ -21,13 +21,18 @@
 //! always uses the analytic (full-run) report — bit-identical by the
 //! measured-equals-predicted contract pinned in `rsu`'s tests.
 
-use bench::checkpoint::{run_array_segmentation_checkpointed, CheckpointCtl};
-use bench::minijson::Value;
-use bench::trace_jsonl::{parse_jsonl, JsonlTraceWriter};
-use bench::{table, write_csv, SEGMENT_DATA_WEIGHT, SEGMENT_ITERATIONS, SEGMENT_SMOOTH_WEIGHT};
+use bench::checkpoint::CheckpointCtl;
+use bench::{table, write_csv};
+use chain::app::{
+    segmentation_schedule, SEGMENT_DATA_WEIGHT, SEGMENT_ITERATIONS, SEGMENT_SMOOTH_WEIGHT,
+};
+use chain::minijson::Value;
+use chain::trace_jsonl::{parse_jsonl, JsonlTraceWriter};
+use chain::Engine;
 use mrf::{total_energy, MrfModel};
 use rsu::{DegradePolicy, FaultPlan, RsuArray, RsuConfig};
 use uarch::degrade::DegradeModel;
+use vision::metrics::variation_of_information;
 use vision::SegmentModel;
 
 /// Segmentation label count of the study (the fig9d trace setting).
@@ -211,8 +216,16 @@ fn run_point(
     if let Some(plan) = plan {
         array.install_faults(plan.clone());
     }
-    let out = run_array_segmentation_checkpointed(
-        ds, LABELS, &mut array, iterations, CHAIN_SEED, threads, &label, ckpt,
+    let chain = ckpt.run(
+        &label,
+        model,
+        segmentation_schedule(),
+        CHAIN_SEED,
+        &mut Engine::Array {
+            array: &mut array,
+            threads,
+        },
+        iterations,
     );
     if let (Some(plan), Some(measured)) = (plan, array.degradation_report()) {
         // A resumed run only measured the tail; the uninterrupted case
@@ -230,8 +243,11 @@ fn run_point(
             }
         }
     }
-    let energy = total_energy(model, &out.field);
-    (out.voi, energy)
+    let field = chain.field();
+    (
+        variation_of_information(field, &ds.ground_truth),
+        total_energy(model, field),
+    )
 }
 
 fn print_table(rows: &[GridRow]) {

@@ -6,7 +6,9 @@
 //! same synthetic stereo suite and compares against the MCMC software
 //! baseline and the new RSU-G.
 
-use bench::{run_stereo, stereo_suite, table, write_csv, SamplerKind, STEREO_ITERATIONS};
+use bench::{solve_stereo, stereo_suite, table, write_csv};
+use chain::app::{STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT};
+use chain::SamplerKind;
 use mrf::{alpha_expansion, total_energy, LabelField, MrfModel};
 use vision::metrics::bad_pixel_percentage;
 use vision::StereoModel;
@@ -20,28 +22,25 @@ fn main() {
             &ds.left,
             &ds.right,
             ds.num_disparities,
-            bench::STEREO_DATA_WEIGHT,
-            bench::STEREO_SMOOTH_WEIGHT,
+            STEREO_DATA_WEIGHT,
+            STEREO_SMOOTH_WEIGHT,
         )
         .expect("generated datasets are consistent");
         let mut gc_field = LabelField::constant(model.grid(), model.num_labels(), 0);
         let report = alpha_expansion(&model, &mut gc_field).expect("absolute distance is a metric");
         let gc_bp = bad_pixel_percentage(&gc_field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
-        let sw = run_stereo(&ds, &SamplerKind::Software, STEREO_ITERATIONS, 11, 1);
-        let hw = run_stereo(&ds, &SamplerKind::NewRsu, STEREO_ITERATIONS, 11, 1);
-        let sw_energy = {
-            let f = &sw.field;
-            total_energy(&model, f)
-        };
+        let (sw, sw_bp) = solve_stereo(&ds, SamplerKind::software());
+        let (_, hw_bp) = solve_stereo(&ds, SamplerKind::new_rsu());
+        let sw_energy = total_energy(&model, &sw);
         rows.push(vec![
             name.to_owned(),
             format!("{:.1}", gc_bp),
-            format!("{:.1}", sw.bp),
-            format!("{:.1}", hw.bp),
+            format!("{sw_bp:.1}"),
+            format!("{hw_bp:.1}"),
             format!("{:.0}", report.final_energy),
             format!("{:.0}", sw_energy),
         ]);
-        csv.push(format!("{name},{gc_bp:.3},{:.3},{:.3}", sw.bp, hw.bp));
+        csv.push(format!("{name},{gc_bp:.3},{sw_bp:.3},{hw_bp:.3}"));
     }
     println!(
         "{}",

@@ -13,7 +13,8 @@
 //! differences under test are the f32 kernel and the worklist. Exits
 //! non-zero on any violation; runtime is a few seconds.
 
-use bench::{table, STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT};
+use bench::table;
+use chain::app::{STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT};
 use mrf::{total_energy, LabelField, MrfModel, NumericPolicy, ParallelSweepSolver, Schedule};
 use rand::SeedableRng;
 use sampling::Xoshiro256pp;

@@ -5,7 +5,8 @@
 //! the selected benchmarks... result quality for other benchmarks ...
 //! remains to be evaluated given the relatively short period").
 
-use bench::{annealing_schedule, table, write_csv, STEREO_ITERATIONS};
+use bench::{table, write_csv};
+use chain::app::{annealing_schedule, STEREO_DATA_WEIGHT, STEREO_ITERATIONS, STEREO_SMOOTH_WEIGHT};
 use mrf::{LabelField, MrfModel, SiteSampler, SoftwareGibbs};
 use rand::{Rng, RngCore, SeedableRng};
 use sampling::{bittests, Lfsr, Mt19937, Xoshiro256pp};
@@ -60,8 +61,8 @@ fn main() {
         &ds.left,
         &ds.right,
         ds.num_disparities,
-        bench::STEREO_DATA_WEIGHT,
-        bench::STEREO_SMOOTH_WEIGHT,
+        STEREO_DATA_WEIGHT,
+        STEREO_SMOOTH_WEIGHT,
     )
     .expect("generated datasets are consistent");
     let mut rows = Vec::new();

@@ -12,7 +12,9 @@
 //! conversion table of the requested point plus its replica and cost
 //! figures.
 
-use bench::{annealing_schedule, segmentation_schedule, SamplerKind};
+use chain::app::{annealing_schedule, segmentation_schedule};
+use chain::{Chain, Engine, SamplerKind};
+use mrf::{LabelField, MrfModel, NoopObserver, Schedule};
 use rsu::{EnergyToLambda, LutConverter, PipelineModel, RsuConfig, RsuG};
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
 use std::collections::HashMap;
@@ -52,13 +54,33 @@ fn get<T: std::str::FromStr>(
 
 fn sampler_kind(flags: &HashMap<String, String>) -> Result<SamplerKind, String> {
     match flags.get("sampler").map(String::as_str).unwrap_or("new") {
-        "software" => Ok(SamplerKind::Software),
-        "new" => Ok(SamplerKind::NewRsu),
-        "prev" => Ok(SamplerKind::PreviousRsu),
+        "software" => Ok(SamplerKind::software()),
+        "new" => Ok(SamplerKind::new_rsu()),
+        "prev" => Ok(SamplerKind::previous_rsu()),
         other => Err(format!(
             "unknown sampler '{other}' (want software|new|prev)"
         )),
     }
+}
+
+/// A raster chain of `model` on `sampler`, `iterations` sweeps from
+/// `seed`; returns the final field.
+fn solve<M: MrfModel + Sync>(
+    model: &M,
+    sampler: SamplerKind,
+    schedule: Schedule,
+    iterations: usize,
+    seed: u64,
+) -> LabelField {
+    let mut chain = Chain::new(model, schedule, seed);
+    chain.step(
+        model,
+        &mut Engine::Raster(sampler),
+        iterations,
+        None,
+        &mut NoopObserver,
+    );
+    chain.into_field()
 }
 
 fn cmd_stereo(flags: HashMap<String, String>) -> Result<(), String> {
@@ -78,7 +100,7 @@ fn cmd_stereo(flags: HashMap<String, String>) -> Result<(), String> {
     .generate(seed);
     let model =
         StereoModel::new(&ds.left, &ds.right, labels, 0.3, 0.3).map_err(|e| e.to_string())?;
-    let field = kind.run(&model, annealing_schedule(), iterations, seed);
+    let field = solve(&model, kind.clone(), annealing_schedule(), iterations, seed);
     let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
     println!(
         "stereo {width}x{height}, {labels} labels, {iterations} iterations, sampler {}",
@@ -109,7 +131,7 @@ fn cmd_motion(flags: HashMap<String, String>) -> Result<(), String> {
     .generate(seed);
     let model =
         MotionModel::new(&ds.frame1, &ds.frame2, 7, 0.004, 1.2).map_err(|e| e.to_string())?;
-    let field = kind.run(&model, annealing_schedule(), iterations, seed);
+    let field = solve(&model, kind.clone(), annealing_schedule(), iterations, seed);
     let flow: Vec<(isize, isize)> = (0..field.grid().len())
         .map(|s| model.label_to_flow(field.get(s)))
         .collect();
@@ -136,7 +158,7 @@ fn cmd_segment(flags: HashMap<String, String>) -> Result<(), String> {
     }
     .generate(seed);
     let model = SegmentModel::new(&ds.image, segments, 0.004, 2.5).map_err(|e| e.to_string())?;
-    let field = kind.run(&model, segmentation_schedule(), 30, seed);
+    let field = solve(&model, kind.clone(), segmentation_schedule(), 30, seed);
     let voi = variation_of_information(&field, &ds.ground_truth);
     println!(
         "segment 96x72, {regions} regions, {segments} segments, sampler {}",

@@ -1,11 +1,12 @@
 //! CI gate: runs a tiny traced solve, writes the JSONL trace, then
-//! re-parses every line with [`bench::minijson`] and validates the
+//! re-parses every line with [`chain::minijson`] and validates the
 //! record shapes — proving the emit side and the parse side agree on a
 //! real trace, not just unit-test fixtures. Exits non-zero on any
 //! mismatch.
 
-use bench::minijson::Value;
-use bench::trace_jsonl::{parse_jsonl, JsonlTraceWriter};
+use chain::minijson::Value;
+use chain::trace_jsonl::{parse_jsonl, JsonlTraceWriter};
+use chain::{Chain, Engine, SamplerKind};
 use mrf::{potential_scale_reduction, DistanceFn, EnergyTrace, FanOut, Schedule, TabularMrf};
 use std::process::ExitCode;
 
@@ -27,11 +28,11 @@ fn main() -> ExitCode {
                 let mut observers = FanOut::new();
                 observers.push(&mut energy);
                 observers.push(&mut writer);
-                bench::SamplerKind::Software.run_observed(
+                Chain::new(&model, schedule, seed).step(
                     &model,
-                    schedule,
+                    &mut Engine::Raster(SamplerKind::software()),
                     ITERATIONS,
-                    seed,
+                    None,
                     &mut observers,
                 );
             }

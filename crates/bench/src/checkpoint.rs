@@ -21,30 +21,15 @@
 //!
 //! # Determinism contract
 //!
-//! A resumed run is **bit-identical** to an uninterrupted one: same
-//! final field, same energy history (every f64), same RNG consumption —
-//! at any thread count. Sequentially this holds because the checkpoint
-//! stores the exact [`Xoshiro256pp`] state words; in parallel because
-//! the engine's per-site streams are pure functions of
-//! `(seed, iteration, site)` and the solver's [`mrf::ResumeState`]
-//! continues the incremental energy accumulator rather than rescanning.
+//! A resumed run is **bit-identical** to an uninterrupted one at any
+//! thread count — the [`Chain`] contract (see the `chain` crate docs).
+//! The checkpoint interval never changes a chain either: stepping in
+//! chunks equals stepping in one go.
 
-use crate::{
-    artifacts_dir, ErasedSampler, MotionOutcome, SamplerKind, SegmentationOutcome, StereoOutcome,
-};
-use mrf::{
-    total_energy, Checkpoint, LabelField, MrfModel, NoopObserver, NumericPolicy,
-    ParallelSweepSolver, ResumeState, Schedule, SiteSampler, SoftwareGibbs, SweepObserver,
-    SweepRecord,
-};
-use rand::SeedableRng;
-use rsu::{RsuArray, RsuG};
-use sampling::Xoshiro256pp;
-use scenes::{FlowDataset, SegmentationDataset, StereoDataset};
+use crate::artifacts_dir;
+use chain::{Chain, ChainModel, Engine};
+use mrf::{Checkpoint, NoopObserver, Schedule};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-use vision::metrics::{bad_pixel_percentage, endpoint_error, rms_error, variation_of_information};
-use vision::{MotionModel, SegmentModel, StereoModel};
 
 /// Parses `--checkpoint-every N` (or `--checkpoint-every=N`) from the
 /// process arguments: the sweep interval between checkpoint writes,
@@ -154,8 +139,8 @@ impl CheckpointCtl {
         }
     }
 
-    /// A control that never writes and never resumes; the checkpointed
-    /// runners then behave exactly like their plain counterparts.
+    /// A control that never writes and never resumes: [`run`](Self::run)
+    /// then steps each chain in one go.
     pub fn disabled() -> Self {
         CheckpointCtl::new(None, PathBuf::new(), None)
     }
@@ -203,6 +188,40 @@ impl CheckpointCtl {
         }
     }
 
+    /// Runs the chain labelled `label` to `iterations` sweeps on
+    /// `engine` — continued from the loaded checkpoint when it is this
+    /// run's, fresh from `seed` otherwise — and returns it. With a
+    /// checkpoint interval the chain steps in interval-aligned chunks
+    /// and a checkpoint is written after each one, the last at the end
+    /// of the run.
+    pub fn run<T: ChainModel + ?Sized>(
+        &mut self,
+        label: &str,
+        model: &T,
+        schedule: Schedule,
+        seed: u64,
+        engine: &mut Engine<'_>,
+        iterations: usize,
+    ) -> Chain {
+        let mut chain = match self.take_resume(label) {
+            Some(checkpoint) => Chain::resume(&checkpoint, schedule),
+            None => Chain::new(model, schedule, seed),
+        };
+        loop {
+            let until = match self.every {
+                Some(every) => ((chain.next_sweep() / every + 1) * every).min(iterations),
+                None => iterations,
+            };
+            chain.step(model, engine, until, None, &mut NoopObserver);
+            if self.every.is_some() {
+                self.write(&chain.checkpoint(label));
+            }
+            if chain.next_sweep() >= iterations {
+                return chain;
+            }
+        }
+    }
+
     /// Best-effort checkpoint write: a failure is reported to stderr
     /// but does not abort the run (the checkpoint is durability aid,
     /// not an output artifact).
@@ -216,661 +235,15 @@ impl CheckpointCtl {
     }
 }
 
-/// [`crate::run_model_observed`] with checkpoint/resume support for the
-/// sequential raster-scan chain. Bit-identical to the plain runner —
-/// energy is tracked the same way, the RNG is consumed identically —
-/// with checkpoints written between sweeps (the stored [`Xoshiro256pp`]
-/// state words make the resumed stream exact).
-#[allow(clippy::too_many_arguments)]
-pub fn run_model_checkpointed<M: MrfModel, O: SweepObserver>(
-    model: &M,
-    sampler: &mut dyn ErasedSampler,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-    observer: &mut O,
-) -> LabelField {
-    let (mut rng, mut field, start, mut labels_changed, mut history, resumed_energy) =
-        match ctl.take_resume(label) {
-            Some(cp) => {
-                let rng = match cp.rng_state {
-                    Some(state) => Xoshiro256pp::from_state(state),
-                    // Foreign checkpoint without sequential RNG words:
-                    // the stream cannot be continued exactly, so restart
-                    // it (documented best effort; our own sequential
-                    // checkpoints always carry the words).
-                    None => Xoshiro256pp::seed_from_u64(seed),
-                };
-                let field = cp.restore_field();
-                (
-                    rng,
-                    field,
-                    cp.next_iteration,
-                    cp.labels_changed,
-                    cp.energy_history,
-                    Some(cp.energy),
-                )
-            }
-            None => {
-                let mut rng = Xoshiro256pp::seed_from_u64(seed);
-                let field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-                (rng, field, 0, 0, Vec::new(), None)
-            }
-        };
-    // Resume continues the stored incremental accumulator bit-exactly;
-    // a fresh total_energy rescan can differ in the last ulp.
-    let mut energy = match resumed_energy {
-        Some(e) if e.is_finite() => e,
-        _ => total_energy(model, &field),
-    };
-    let grid = model.grid();
-    let mut energies = Vec::with_capacity(model.num_labels());
-    let observing = observer.is_enabled();
-    let want_sites = observing && observer.wants_site_updates();
-    for iter in start..iterations {
-        let temperature = schedule.temperature(iter);
-        sampler.begin_iteration(temperature);
-        let sweep_start = observing.then(Instant::now);
-        let mut flips = 0u64;
-        for site in grid.sites() {
-            model.local_energies(site, &field, &mut energies);
-            let current = field.get(site);
-            let new = sampler.sample_label(&energies, temperature, current, &mut rng);
-            if new != current {
-                field.set(site, new);
-                energy += energies[new as usize] - energies[current as usize];
-                flips += 1;
-                if want_sites {
-                    observer.on_site_update(iter, site, current, new);
-                }
-            }
-        }
-        labels_changed += flips;
-        history.push(energy);
-        if observing {
-            observer.on_sweep(&SweepRecord {
-                iteration: iter,
-                temperature,
-                energy,
-                flips,
-                elapsed: sweep_start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-            });
-        }
-        if let Some(every) = ctl.every() {
-            if (iter + 1) % every == 0 {
-                ctl.write(
-                    &Checkpoint::capture(
-                        label,
-                        &field,
-                        iter + 1,
-                        energy,
-                        labels_changed,
-                        history.clone(),
-                    )
-                    .with_seed(seed)
-                    .with_rng_state(rng.state()),
-                );
-            }
-        }
-    }
-    field
-}
-
-/// [`crate::run_model_parallel_observed`] with checkpoint/resume
-/// support: the parallel solver runs in checkpoint-interval chunks,
-/// each continued through [`ResumeState`] (incremental energy and flip
-/// counter included), so the chain is bit-identical to an uninterrupted
-/// run at every thread count. The per-site counter-based streams need
-/// no stored RNG words — the chain seed plus the next iteration index
-/// is the full generator state.
-#[allow(clippy::too_many_arguments)]
-pub fn run_model_parallel_checkpointed<M, S, O>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-    observer: &mut O,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-    O: SweepObserver,
-{
-    run_model_parallel_checkpointed_numeric(
-        model,
-        sampler,
-        schedule,
-        iterations,
-        seed,
-        threads,
-        NumericPolicy::Exact,
-        false,
-        label,
-        ctl,
-        observer,
-    )
-}
-
-/// [`run_model_parallel_checkpointed`] with the solver's numeric policy
-/// and active-site scheduling exposed. Kill/resume stays bit-identical
-/// to an uninterrupted run under every combination: the checkpoint
-/// serializes the worklist next to the field, and under `Fast` the
-/// resumed incremental accumulator continues the stored f64 bits (the
-/// f32-derived deltas are a deterministic function of the chain).
-#[allow(clippy::too_many_arguments)]
-pub fn run_model_parallel_checkpointed_numeric<M, S, O>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    numeric: NumericPolicy,
-    active: bool,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-    observer: &mut O,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-    O: SweepObserver,
-{
-    let (mut field, mut state) = match ctl.take_resume(label) {
-        Some(cp) => {
-            let field = cp.restore_field();
-            let state = cp.resume_state();
-            (field, Some(state))
-        }
-        None => {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            let field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-            (field, None)
-        }
-    };
-    loop {
-        let start = state.as_ref().map_or(0, |s| s.start_iteration);
-        let end = match ctl.every() {
-            Some(every) => ((start / every + 1) * every).min(iterations),
-            None => iterations,
-        }
-        .max(start);
-        let mut solver = ParallelSweepSolver::new(model)
-            .schedule(schedule)
-            .iterations(end)
-            .threads(threads)
-            .seed(seed)
-            .numeric(numeric)
-            .active_sites(active);
-        if let Some(s) = state.take() {
-            solver = solver.resume(s);
-        }
-        let report = solver.run_observed(&mut field, sampler, observer);
-        if ctl.every().is_some() {
-            let mut cp = Checkpoint::capture(
-                label,
-                &field,
-                report.iterations_run,
-                report.final_energy(),
-                report.labels_changed,
-                report.energy_history.clone(),
-            )
-            .with_seed(seed);
-            if let Some(mask) = report.active_sites.clone() {
-                cp = cp.with_active_sites(mask);
-            }
-            ctl.write(&cp);
-        }
-        if report.iterations_run >= iterations {
-            break;
-        }
-        state = Some(ResumeState {
-            start_iteration: report.iterations_run,
-            energy: report.final_energy(),
-            labels_changed: report.labels_changed,
-            energy_history: report.energy_history,
-            active_sites: report.active_sites,
-        });
-    }
-    field
-}
-
-impl SamplerKind {
-    /// [`run`](Self::run) with checkpoint/resume support; with a
-    /// [`CheckpointCtl::disabled`] control this is exactly `run`.
-    pub fn run_checkpointed<M: MrfModel>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        label: &str,
-        ctl: &mut CheckpointCtl,
-    ) -> LabelField {
-        self.dispatch(model, |model, s| {
-            run_model_checkpointed(
-                model,
-                s,
-                schedule,
-                iterations,
-                seed,
-                label,
-                ctl,
-                &mut NoopObserver,
-            )
-        })
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with checkpoint/resume
-    /// support; results stay identical across thread counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_parallel_checkpointed<M: MrfModel + Sync>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-        label: &str,
-        ctl: &mut CheckpointCtl,
-    ) -> LabelField {
-        self.run_parallel_checkpointed_numeric(
-            model,
-            schedule,
-            iterations,
-            seed,
-            threads,
-            NumericPolicy::Exact,
-            false,
-            label,
-            ctl,
-        )
-    }
-
-    /// [`run_parallel_checkpointed`](Self::run_parallel_checkpointed)
-    /// with the numeric policy and active-site scheduling exposed (the
-    /// `--numeric fast` / `--active` driver knobs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_parallel_checkpointed_numeric<M: MrfModel + Sync>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-        numeric: NumericPolicy,
-        active: bool,
-        label: &str,
-        ctl: &mut CheckpointCtl,
-    ) -> LabelField {
-        let mut noop = NoopObserver;
-        match self {
-            SamplerKind::Software => run_model_parallel_checkpointed_numeric(
-                model,
-                &SoftwareGibbs::new(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                numeric,
-                active,
-                label,
-                ctl,
-                &mut noop,
-            ),
-            SamplerKind::PreviousRsu => run_model_parallel_checkpointed_numeric(
-                model,
-                &RsuG::previous_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                numeric,
-                active,
-                label,
-                ctl,
-                &mut noop,
-            ),
-            SamplerKind::NewRsu => run_model_parallel_checkpointed_numeric(
-                model,
-                &RsuG::new_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                numeric,
-                active,
-                label,
-                ctl,
-                &mut noop,
-            ),
-            SamplerKind::Custom(cfg) => run_model_parallel_checkpointed_numeric(
-                model,
-                &RsuG::with_config(*cfg),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                numeric,
-                active,
-                label,
-                ctl,
-                &mut noop,
-            ),
-        }
-    }
-}
-
-/// [`crate::run_segmentation`] with checkpoint/resume support (the
-/// fig9d driver's unit of work).
-#[allow(clippy::too_many_arguments)]
-pub fn run_segmentation_checkpointed(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> SegmentationOutcome {
-    run_segmentation_checkpointed_numeric(
-        ds,
-        num_segments,
-        sampler,
-        iterations,
-        seed,
-        threads,
-        NumericPolicy::Exact,
-        false,
-        label,
-        ctl,
-    )
-}
-
-/// [`run_segmentation_checkpointed`] with the `--numeric` / `--active`
-/// knobs exposed. With `Exact` and no active scheduling this is exactly
-/// the plain runner; any non-default combination routes through the
-/// checkerboard engine (even at one thread), whose counter-based
-/// per-site streams are the only chain the f32/worklist determinism
-/// contract covers — so the historical raster chain stays untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn run_segmentation_checkpointed_numeric(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    numeric: NumericPolicy,
-    active: bool,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        crate::SEGMENT_DATA_WEIGHT,
-        crate::SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let scheduled = numeric != NumericPolicy::Exact || active;
-    let field = if threads > 1 || scheduled {
-        sampler.run_parallel_checkpointed_numeric(
-            &model,
-            crate::segmentation_schedule(),
-            iterations,
-            seed,
-            threads,
-            numeric,
-            active,
-            label,
-            ctl,
-        )
-    } else {
-        sampler.run_checkpointed(
-            &model,
-            crate::segmentation_schedule(),
-            iterations,
-            seed,
-            label,
-            ctl,
-        )
-    };
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
-}
-
-/// [`crate::run_stereo`] with checkpoint/resume support (the fig9a/9b
-/// drivers' unit of work).
-#[allow(clippy::too_many_arguments)]
-pub fn run_stereo_checkpointed(
-    ds: &StereoDataset,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> StereoOutcome {
-    run_stereo_checkpointed_numeric(
-        ds,
-        sampler,
-        iterations,
-        seed,
-        threads,
-        NumericPolicy::Exact,
-        false,
-        label,
-        ctl,
-    )
-}
-
-/// [`run_stereo_checkpointed`] with the `--numeric` / `--active` knobs
-/// exposed; same routing rule as
-/// [`run_segmentation_checkpointed_numeric`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_stereo_checkpointed_numeric(
-    ds: &StereoDataset,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    numeric: NumericPolicy,
-    active: bool,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> StereoOutcome {
-    let model = StereoModel::new(
-        &ds.left,
-        &ds.right,
-        ds.num_disparities,
-        crate::STEREO_DATA_WEIGHT,
-        crate::STEREO_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let scheduled = numeric != NumericPolicy::Exact || active;
-    let field = if threads > 1 || scheduled {
-        sampler.run_parallel_checkpointed_numeric(
-            &model,
-            crate::annealing_schedule(),
-            iterations,
-            seed,
-            threads,
-            numeric,
-            active,
-            label,
-            ctl,
-        )
-    } else {
-        sampler.run_checkpointed(
-            &model,
-            crate::annealing_schedule(),
-            iterations,
-            seed,
-            label,
-            ctl,
-        )
-    };
-    let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
-    let rms = rms_error(&field, &ds.ground_truth, Some(&ds.occlusion));
-    StereoOutcome { bp, rms, field }
-}
-
-/// [`crate::run_motion`] with checkpoint/resume support (the fig9c
-/// driver's unit of work).
-#[allow(clippy::too_many_arguments)]
-pub fn run_motion_checkpointed(
-    ds: &FlowDataset,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> MotionOutcome {
-    let model = MotionModel::new(
-        &ds.frame1,
-        &ds.frame2,
-        ds.window,
-        crate::MOTION_DATA_WEIGHT,
-        crate::MOTION_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel_checkpointed(
-            &model,
-            crate::annealing_schedule(),
-            iterations,
-            seed,
-            threads,
-            label,
-            ctl,
-        )
-    } else {
-        sampler.run_checkpointed(
-            &model,
-            crate::annealing_schedule(),
-            iterations,
-            seed,
-            label,
-            ctl,
-        )
-    };
-    let flow: Vec<(isize, isize)> = (0..field.grid().len())
-        .map(|site| model.label_to_flow(field.get(site)))
-        .collect();
-    let epe = endpoint_error(&flow, &ds.ground_truth);
-    MotionOutcome { epe, flow }
-}
-
-/// Drives an [`RsuArray`] chain sweep-by-sweep with checkpoint/resume
-/// support: each sweep is one [`RsuArray::sweep_parallel`] call, so the
-/// chain is a pure function of `(seed, iteration, site)` and — fault
-/// service being a pure function of `(plan, iteration)` — stays
-/// bit-identical at every host thread count and across kill/resume at
-/// any sweep boundary. The checkpoint stores only the field and the
-/// next iteration: the chain seed plus the iteration index *is* the
-/// full generator state, and no incremental energy accumulator is
-/// threaded (the stored energy is NaN).
-///
-/// The array's cumulative [`rsu::DegradationReport`] covers only the
-/// sweeps this process executed; a resumed driver reconstructs the
-/// full-run report analytically via
-/// [`rsu::FaultPlan::predicted_degradation`], which is bit-identical to
-/// the measured accounting by the measured-equals-predicted contract.
-#[allow(clippy::too_many_arguments)]
-pub fn run_array_checkpointed<M: MrfModel + Sync>(
-    model: &M,
-    array: &mut RsuArray,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> LabelField {
-    let (mut field, start) = match ctl.take_resume(label) {
-        Some(cp) => (cp.restore_field(), cp.next_iteration),
-        None => {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            (
-                LabelField::random(model.grid(), model.num_labels(), &mut rng),
-                0,
-            )
-        }
-    };
-    for iter in start..iterations {
-        let temperature = schedule.temperature(iter);
-        array.sweep_parallel(model, &mut field, temperature, iter as u64, seed, threads);
-        if let Some(every) = ctl.every() {
-            if (iter + 1) % every == 0 {
-                ctl.write(
-                    &Checkpoint::capture(label, &field, iter + 1, f64::NAN, 0, Vec::new())
-                        .with_seed(seed),
-                );
-            }
-        }
-    }
-    field
-}
-
-/// [`run_array_checkpointed`] over a segmentation dataset — the
-/// `fig_fault_sweep` driver's unit of work: builds the standard
-/// [`SegmentModel`], runs the (possibly fault-injected) array chain
-/// under the segmentation schedule, and scores the result.
-#[allow(clippy::too_many_arguments)]
-pub fn run_array_segmentation_checkpointed(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    array: &mut RsuArray,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    label: &str,
-    ctl: &mut CheckpointCtl,
-) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        crate::SEGMENT_DATA_WEIGHT,
-        crate::SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = run_array_checkpointed(
-        &model,
-        array,
-        crate::segmentation_schedule(),
-        iterations,
-        seed,
-        threads,
-        label,
-        ctl,
-    );
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_model, run_model_parallel, Erased};
-    use mrf::{DistanceFn, TabularMrf};
+    use mrf::{DistanceFn, LabelField, MrfModel, TabularMrf};
+    use rand::SeedableRng;
+    use sampling::Xoshiro256pp;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn temp_ckpt(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("bench-checkpoint-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
     }
 
     #[test]
@@ -926,250 +299,5 @@ mod tests {
         // Claimed exactly once.
         assert!(ctl.take_resume("fig/x").is_none());
         assert_eq!(ctl.pending_resume(), None);
-    }
-
-    #[test]
-    fn disabled_sequential_checkpointing_matches_the_plain_runner() {
-        let model = TabularMrf::checkerboard(8, 6, 3, 4.0, DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let plain = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model(&model, &mut erased, schedule, 20, 7)
-        };
-        let checkpointed = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            let mut ctl = CheckpointCtl::disabled();
-            run_model_checkpointed(
-                &model,
-                &mut erased,
-                schedule,
-                20,
-                7,
-                "test/software",
-                &mut ctl,
-                &mut NoopObserver,
-            )
-        };
-        assert_eq!(plain, checkpointed);
-    }
-
-    #[test]
-    fn sequential_kill_and_resume_is_bit_identical() {
-        let model = TabularMrf::checkerboard(10, 8, 3, 4.0, DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let path = temp_ckpt("sequential.ckpt");
-        let uninterrupted = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            let mut ctl = CheckpointCtl::disabled();
-            run_model_checkpointed(
-                &model,
-                &mut erased,
-                schedule,
-                30,
-                11,
-                "t/seq",
-                &mut ctl,
-                &mut NoopObserver,
-            )
-        };
-        // "Kill" after 13 sweeps: run only that far, checkpointing at 13.
-        {
-            let mut erased = Erased(SoftwareGibbs::new());
-            let mut ctl = CheckpointCtl::new(Some(13), path.clone(), None);
-            run_model_checkpointed(
-                &model,
-                &mut erased,
-                schedule,
-                13,
-                11,
-                "t/seq",
-                &mut ctl,
-                &mut NoopObserver,
-            );
-        }
-        let cp = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp.next_iteration, 13);
-        assert!(
-            cp.rng_state.is_some(),
-            "sequential checkpoints carry RNG words"
-        );
-        let resumed = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            let mut ctl = CheckpointCtl::new(None, PathBuf::new(), Some(cp));
-            run_model_checkpointed(
-                &model,
-                &mut erased,
-                schedule,
-                30,
-                11,
-                "t/seq",
-                &mut ctl,
-                &mut NoopObserver,
-            )
-        };
-        assert_eq!(uninterrupted, resumed);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_kill_and_resume_is_bit_identical_across_thread_counts() {
-        let model = TabularMrf::checkerboard(10, 8, 3, 4.0, DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let reference = run_model_parallel(&model, &SoftwareGibbs::new(), schedule, 30, 11, 1);
-        for (kill_threads, resume_threads) in [(1, 2), (2, 7), (7, 1)] {
-            let path = temp_ckpt(&format!("parallel-{kill_threads}-{resume_threads}.ckpt"));
-            {
-                let mut ctl = CheckpointCtl::new(Some(10), path.clone(), None);
-                run_model_parallel_checkpointed(
-                    &model,
-                    &SoftwareGibbs::new(),
-                    schedule,
-                    20,
-                    11,
-                    kill_threads,
-                    "t/par",
-                    &mut ctl,
-                    &mut NoopObserver,
-                );
-            }
-            let cp = Checkpoint::load(&path).unwrap();
-            assert_eq!(cp.next_iteration, 20);
-            assert_eq!(cp.energy_history.len(), 20);
-            let mut ctl = CheckpointCtl::new(None, PathBuf::new(), Some(cp));
-            let resumed = run_model_parallel_checkpointed(
-                &model,
-                &SoftwareGibbs::new(),
-                schedule,
-                30,
-                11,
-                resume_threads,
-                "t/par",
-                &mut ctl,
-                &mut NoopObserver,
-            );
-            assert_eq!(
-                reference, resumed,
-                "kill at {kill_threads} threads, resume at {resume_threads}"
-            );
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn parallel_fast_active_kill_and_resume_is_bit_identical() {
-        let model = TabularMrf::checkerboard(10, 8, 3, 4.0, DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let path = temp_ckpt("parallel-fast-active.ckpt");
-        let reference = {
-            let mut ctl = CheckpointCtl::disabled();
-            run_model_parallel_checkpointed_numeric(
-                &model,
-                &SoftwareGibbs::new(),
-                schedule,
-                30,
-                11,
-                1,
-                NumericPolicy::Fast,
-                true,
-                "t/fa",
-                &mut ctl,
-                &mut NoopObserver,
-            )
-        };
-        {
-            let mut ctl = CheckpointCtl::new(Some(10), path.clone(), None);
-            run_model_parallel_checkpointed_numeric(
-                &model,
-                &SoftwareGibbs::new(),
-                schedule,
-                20,
-                11,
-                2,
-                NumericPolicy::Fast,
-                true,
-                "t/fa",
-                &mut ctl,
-                &mut NoopObserver,
-            );
-        }
-        let cp = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp.next_iteration, 20);
-        assert!(
-            cp.active_sites.is_some(),
-            "active checkpoints carry the worklist"
-        );
-        let mut ctl = CheckpointCtl::new(None, PathBuf::new(), Some(cp));
-        let resumed = run_model_parallel_checkpointed_numeric(
-            &model,
-            &SoftwareGibbs::new(),
-            schedule,
-            30,
-            11,
-            7,
-            NumericPolicy::Fast,
-            true,
-            "t/fa",
-            &mut ctl,
-            &mut NoopObserver,
-        );
-        assert_eq!(
-            reference, resumed,
-            "fast+active kill at 2 threads, resume at 7"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_resumed_energy_history_is_bit_identical() {
-        let model = TabularMrf::checkerboard(8, 8, 3, 4.0, DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let path = temp_ckpt("parallel-energy.ckpt");
-        let mut whole = mrf::EnergyTrace::new();
-        {
-            let mut ctl = CheckpointCtl::disabled();
-            run_model_parallel_checkpointed(
-                &model,
-                &SoftwareGibbs::new(),
-                schedule,
-                24,
-                5,
-                2,
-                "t/energy",
-                &mut ctl,
-                &mut whole,
-            );
-        }
-        {
-            let mut ctl = CheckpointCtl::new(Some(9), path.clone(), None);
-            run_model_parallel_checkpointed(
-                &model,
-                &SoftwareGibbs::new(),
-                schedule,
-                9,
-                5,
-                2,
-                "t/energy",
-                &mut ctl,
-                &mut NoopObserver,
-            );
-        }
-        let cp = Checkpoint::load(&path).unwrap();
-        let mut tail = mrf::EnergyTrace::new();
-        let mut ctl = CheckpointCtl::new(None, PathBuf::new(), Some(cp));
-        run_model_parallel_checkpointed(
-            &model,
-            &SoftwareGibbs::new(),
-            schedule,
-            24,
-            5,
-            2,
-            "t/energy",
-            &mut ctl,
-            &mut tail,
-        );
-        let whole_bits: Vec<u64> = whole.energies().iter().map(|e| e.to_bits()).collect();
-        let tail_bits: Vec<u64> = tail.energies().iter().map(|e| e.to_bits()).collect();
-        assert_eq!(&whole_bits[9..], &tail_bits[..], "resumed sweeps 9..24");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -5,399 +5,23 @@
 //! `DESIGN.md` for the index) and prints the same rows/series the paper
 //! reports, plus CSV/PGM artifacts under `artifacts/`.
 //!
-//! The central pieces:
+//! Chains run through the `chain` crate (one [`chain::Chain`] per run,
+//! its engine picked from the driver flags). This crate adds what only
+//! the drivers need:
 //!
-//! * [`SamplerKind`] — the samplers under comparison (software float,
-//!   previous RSU-G, new RSU-G, or any custom [`RsuConfig`]), with a
-//!   uniform [`run_stereo`]/[`run_motion`]/[`run_segmentation`] driver
-//!   per application;
-//! * [`StereoOutcome`] etc. — per-run quality summaries (BP, RMS, EPE,
-//!   VoI, ...);
+//! * the flag parsers (`--threads`, `--numeric`, `--active`, `--trace`)
+//!   and [`checkpoint::CheckpointCtl`] (`--checkpoint-every`,
+//!   `--resume`);
+//! * the named dataset suites;
 //! * [`table`] — plain-text table formatting;
 //! * [`artifacts_dir`]/[`write_csv`] — artifact output.
 
-use mrf::{
-    total_energy, LabelField, MrfModel, NoopObserver, NumericPolicy, ParallelSweepSolver, Schedule,
-    SiteSampler, SoftwareGibbs, SweepObserver, SweepRecord,
-};
-use rand::SeedableRng;
-use rsu::{RsuConfig, RsuG};
-use sampling::Xoshiro256pp;
-use scenes::{FlowDataset, SegmentationDataset, StereoDataset};
+use chain::app::STEREO_ITERATIONS;
+use chain::{App, Chain, Engine, SamplerKind};
+use mrf::{LabelField, NoopObserver, NumericPolicy};
+use scenes::{FlowDataset, StereoDataset};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-use vision::metrics::{bad_pixel_percentage, endpoint_error, rms_error, variation_of_information};
-use vision::{MotionModel, SegmentModel, StereoModel};
-
-/// Stereo energy weights used throughout the experiments (best-effort
-/// tuned once, like the paper's "best-effort optimization for MCMC
-/// algorithm parameters ... applied throughout the evaluation").
-pub const STEREO_DATA_WEIGHT: f64 = 0.30;
-/// Stereo smoothness weight.
-pub const STEREO_SMOOTH_WEIGHT: f64 = 0.3;
-/// Motion energy weights (squared distances are larger, so smaller
-/// weights).
-pub const MOTION_DATA_WEIGHT: f64 = 0.004;
-/// Motion smoothness weight.
-pub const MOTION_SMOOTH_WEIGHT: f64 = 1.2;
-/// Segmentation energy weights.
-pub const SEGMENT_DATA_WEIGHT: f64 = 0.004;
-/// Segmentation smoothness weight.
-pub const SEGMENT_SMOOTH_WEIGHT: f64 = 2.5;
-
-/// The annealing schedule used by the stereo and motion experiments.
-pub fn annealing_schedule() -> Schedule {
-    Schedule::geometric(40.0, 0.96, 0.4)
-}
-
-/// The (milder) schedule used by segmentation, which the paper runs for
-/// only 30 iterations.
-pub fn segmentation_schedule() -> Schedule {
-    Schedule::geometric(4.0, 0.9, 0.3)
-}
-
-/// Default iteration budget for stereo/motion runs.
-pub const STEREO_ITERATIONS: usize = 220;
-/// Default iteration budget for segmentation runs (paper: 30).
-pub const SEGMENT_ITERATIONS: usize = 30;
-
-/// Which per-site sampler an experiment runs.
-#[derive(Debug, Clone)]
-pub enum SamplerKind {
-    /// IEEE floating-point Gibbs (the quality reference).
-    Software,
-    /// The previous RSU-G design (Wang et al. 2016).
-    PreviousRsu,
-    /// The paper's new RSU-G design.
-    NewRsu,
-    /// An arbitrary RSU-G design point.
-    Custom(RsuConfig),
-}
-
-impl SamplerKind {
-    /// Display name used in printed tables.
-    pub fn name(&self) -> String {
-        match self {
-            SamplerKind::Software => "software".to_owned(),
-            SamplerKind::PreviousRsu => "prev-RSUG".to_owned(),
-            SamplerKind::NewRsu => "new-RSUG".to_owned(),
-            SamplerKind::Custom(_) => "custom-RSUG".to_owned(),
-        }
-    }
-
-    /// Runs the configured sampler over an arbitrary model with the
-    /// given schedule/budget/seed and returns the final field.
-    pub fn run<M: MrfModel>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-    ) -> LabelField {
-        self.dispatch(model, |model, s| {
-            run_model(model, s, schedule, iterations, seed)
-        })
-    }
-
-    /// Like [`run`](Self::run) with a [`SweepObserver`] attached; the
-    /// chain (and its RNG consumption) is bit-identical to `run`.
-    pub fn run_observed<M: MrfModel, O: SweepObserver>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        observer: &mut O,
-    ) -> LabelField {
-        self.dispatch(model, |model, s| {
-            run_model_observed(model, s, schedule, iterations, seed, observer)
-        })
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel) with a
-    /// [`SweepObserver`] attached; the chain is bit-identical to
-    /// `run_parallel` at every thread count.
-    pub fn run_parallel_observed<M: MrfModel + Sync, O: SweepObserver>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-        observer: &mut O,
-    ) -> LabelField {
-        match self {
-            SamplerKind::Software => run_model_parallel_observed(
-                model,
-                &SoftwareGibbs::new(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::PreviousRsu => run_model_parallel_observed(
-                model,
-                &RsuG::previous_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::NewRsu => run_model_parallel_observed(
-                model,
-                &RsuG::new_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-            SamplerKind::Custom(cfg) => run_model_parallel_observed(
-                model,
-                &RsuG::with_config(*cfg),
-                schedule,
-                iterations,
-                seed,
-                threads,
-                observer,
-            ),
-        }
-    }
-
-    /// Runs the configured sampler with the parallel checkerboard
-    /// engine on `threads` worker threads. Unlike [`run`](Self::run)
-    /// (raster scan, one shared random stream) this uses per-site
-    /// counter-based streams, so results differ from `run` but are
-    /// identical across thread counts.
-    pub fn run_parallel<M: MrfModel + Sync>(
-        &self,
-        model: &M,
-        schedule: Schedule,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-    ) -> LabelField {
-        match self {
-            SamplerKind::Software => run_model_parallel(
-                model,
-                &SoftwareGibbs::new(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::PreviousRsu => run_model_parallel(
-                model,
-                &RsuG::previous_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::NewRsu => run_model_parallel(
-                model,
-                &RsuG::new_design(),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-            SamplerKind::Custom(cfg) => run_model_parallel(
-                model,
-                &RsuG::with_config(*cfg),
-                schedule,
-                iterations,
-                seed,
-                threads,
-            ),
-        }
-    }
-
-    fn dispatch<M, F, T>(&self, model: &M, f: F) -> T
-    where
-        M: MrfModel,
-        F: FnOnce(&M, &mut dyn ErasedSampler) -> T,
-    {
-        match self {
-            SamplerKind::Software => f(model, &mut Erased(SoftwareGibbs::new())),
-            SamplerKind::PreviousRsu => f(model, &mut Erased(RsuG::previous_design())),
-            SamplerKind::NewRsu => f(model, &mut Erased(RsuG::new_design())),
-            SamplerKind::Custom(cfg) => f(model, &mut Erased(RsuG::with_config(*cfg))),
-        }
-    }
-}
-
-/// Object-safe shim over [`SiteSampler`] (whose sampling method is
-/// generic in the RNG) fixed to the harness RNG type.
-pub trait ErasedSampler {
-    /// See [`SiteSampler::begin_iteration`].
-    fn begin_iteration(&mut self, temperature: f64);
-    /// See [`SiteSampler::sample_label`].
-    fn sample_label(
-        &mut self,
-        energies: &[f64],
-        temperature: f64,
-        current: mrf::Label,
-        rng: &mut Xoshiro256pp,
-    ) -> mrf::Label;
-}
-
-struct Erased<S: SiteSampler>(S);
-
-impl<S: SiteSampler> ErasedSampler for Erased<S> {
-    fn begin_iteration(&mut self, temperature: f64) {
-        self.0.begin_iteration(temperature);
-    }
-
-    fn sample_label(
-        &mut self,
-        energies: &[f64],
-        temperature: f64,
-        current: mrf::Label,
-        rng: &mut Xoshiro256pp,
-    ) -> mrf::Label {
-        self.0.sample_label(energies, temperature, current, rng)
-    }
-}
-
-/// Outcome of one stereo run.
-#[derive(Debug, Clone)]
-pub struct StereoOutcome {
-    /// Bad-pixel percentage (threshold 1, occlusions counted bad).
-    pub bp: f64,
-    /// RMS disparity error over visible pixels.
-    pub rms: f64,
-    /// The final disparity field.
-    pub field: LabelField,
-}
-
-/// Drives a model with an erased sampler: the same raster-scan MCMC loop
-/// as [`mrf::SweepSolver`], monomorphised once for the harness RNG.
-pub fn run_model<M: MrfModel>(
-    model: &M,
-    sampler: &mut dyn ErasedSampler,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-) -> LabelField {
-    run_model_observed(
-        model,
-        sampler,
-        schedule,
-        iterations,
-        seed,
-        &mut NoopObserver,
-    )
-}
-
-/// [`run_model`] with a [`SweepObserver`] attached. With the observer
-/// disabled ([`NoopObserver`]) this is exactly `run_model`: same field,
-/// same RNG consumption, no timing calls.
-pub fn run_model_observed<M: MrfModel, O: SweepObserver>(
-    model: &M,
-    sampler: &mut dyn ErasedSampler,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    observer: &mut O,
-) -> LabelField {
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    let grid = model.grid();
-    let mut energies = Vec::with_capacity(model.num_labels());
-    let observing = observer.is_enabled();
-    let want_sites = observing && observer.wants_site_updates();
-    let mut energy = observing.then(|| total_energy(model, &field));
-    for iter in 0..iterations {
-        let temperature = schedule.temperature(iter);
-        sampler.begin_iteration(temperature);
-        let sweep_start = observing.then(Instant::now);
-        let mut flips = 0u64;
-        for site in grid.sites() {
-            model.local_energies(site, &field, &mut energies);
-            let current = field.get(site);
-            let new = sampler.sample_label(&energies, temperature, current, &mut rng);
-            if new != current {
-                field.set(site, new);
-                if let Some(e) = energy.as_mut() {
-                    *e += energies[new as usize] - energies[current as usize];
-                }
-                flips += 1;
-                if want_sites {
-                    observer.on_site_update(iter, site, current, new);
-                }
-            }
-        }
-        if observing {
-            observer.on_sweep(&SweepRecord {
-                iteration: iter,
-                temperature,
-                energy: energy.unwrap_or(f64::NAN),
-                flips,
-                elapsed: sweep_start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-            });
-        }
-    }
-    field
-}
-
-/// Drives a model with the parallel checkerboard engine: the initial
-/// field matches [`run_model`]'s (same seed derivation), then
-/// [`ParallelSweepSolver`] runs `iterations` sweeps on `threads`
-/// threads with per-site deterministic randomness.
-pub fn run_model_parallel<M, S>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-{
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    ParallelSweepSolver::new(model)
-        .schedule(schedule)
-        .iterations(iterations)
-        .threads(threads)
-        .seed(seed)
-        .run(&mut field, sampler);
-    field
-}
-
-/// [`run_model_parallel`] with a [`SweepObserver`] attached; the field
-/// is bit-identical to `run_model_parallel` at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_model_parallel_observed<M, S, O>(
-    model: &M,
-    sampler: &S,
-    schedule: Schedule,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    observer: &mut O,
-) -> LabelField
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Clone + Send,
-    O: SweepObserver,
-{
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    ParallelSweepSolver::new(model)
-        .schedule(schedule)
-        .iterations(iterations)
-        .threads(threads)
-        .seed(seed)
-        .run_observed(&mut field, sampler, observer);
-    field
-}
 
 /// Parses `--threads N` (or `--threads=N`) from the process arguments
 /// (default 1). On a malformed value it prints a usage message to
@@ -533,149 +157,21 @@ pub fn active_from_args() -> bool {
     std::env::args().skip(1).any(|arg| arg == "--active")
 }
 
-/// Runs one stereo dataset with the given sampler and returns BP/RMS.
-///
-/// `threads == 1` reproduces the historical raster-scan chain exactly;
-/// `threads > 1` switches to the parallel checkerboard engine (results
-/// then depend only on the seed, never on the thread count).
-pub fn run_stereo(
-    ds: &StereoDataset,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-) -> StereoOutcome {
-    let model = StereoModel::new(
-        &ds.left,
-        &ds.right,
-        ds.num_disparities,
-        STEREO_DATA_WEIGHT,
-        STEREO_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, annealing_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, annealing_schedule(), iterations, seed)
-        })
-    };
-    let bp = bad_pixel_percentage(&field, &ds.ground_truth, Some(&ds.occlusion), 1.0);
-    let rms = rms_error(&field, &ds.ground_truth, Some(&ds.occlusion));
-    StereoOutcome { bp, rms, field }
-}
-
-/// Outcome of one motion-estimation run.
-#[derive(Debug, Clone)]
-pub struct MotionOutcome {
-    /// Average endpoint error.
-    pub epe: f64,
-    /// The recovered flow field.
-    pub flow: Vec<(isize, isize)>,
-}
-
-/// Runs one flow dataset with the given sampler and returns the EPE.
-/// See [`run_stereo`] for the meaning of `threads`.
-pub fn run_motion(
-    ds: &FlowDataset,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-) -> MotionOutcome {
-    let model = MotionModel::new(
-        &ds.frame1,
-        &ds.frame2,
-        ds.window,
-        MOTION_DATA_WEIGHT,
-        MOTION_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, annealing_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, annealing_schedule(), iterations, seed)
-        })
-    };
-    let flow: Vec<(isize, isize)> = (0..field.grid().len())
-        .map(|site| model.label_to_flow(field.get(site)))
-        .collect();
-    let epe = endpoint_error(&flow, &ds.ground_truth);
-    MotionOutcome { epe, flow }
-}
-
-/// Outcome of one segmentation run.
-#[derive(Debug, Clone)]
-pub struct SegmentationOutcome {
-    /// Variation of Information against the generating partition.
-    pub voi: f64,
-    /// The recovered segmentation.
-    pub field: LabelField,
-}
-
-/// Runs one segmentation dataset at `num_segments` with the given
-/// sampler and returns the VoI against the generating partition.
-/// See [`run_stereo`] for the meaning of `threads`.
-pub fn run_segmentation(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel(&model, segmentation_schedule(), iterations, seed, threads)
-    } else {
-        sampler.dispatch(&model, |model, s| {
-            run_model(model, s, segmentation_schedule(), iterations, seed)
-        })
-    };
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
-}
-
-/// [`run_segmentation`] with a [`SweepObserver`] attached; the run is
-/// bit-identical to `run_segmentation` with the same arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn run_segmentation_observed<O: SweepObserver>(
-    ds: &SegmentationDataset,
-    num_segments: usize,
-    sampler: &SamplerKind,
-    iterations: usize,
-    seed: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SegmentationOutcome {
-    let model = SegmentModel::new(
-        &ds.image,
-        num_segments,
-        SEGMENT_DATA_WEIGHT,
-        SEGMENT_SMOOTH_WEIGHT,
-    )
-    .expect("generated datasets are consistent");
-    let field = if threads > 1 {
-        sampler.run_parallel_observed(
-            &model,
-            segmentation_schedule(),
-            iterations,
-            seed,
-            threads,
-            observer,
-        )
-    } else {
-        sampler.run_observed(&model, segmentation_schedule(), iterations, seed, observer)
-    };
-    let voi = variation_of_information(&field, &ds.ground_truth);
-    SegmentationOutcome { voi, field }
+/// The default-flag stereo chain of the figure drivers: the raster
+/// engine on `sampler`, [`STEREO_ITERATIONS`] sweeps from seed 11.
+/// Returns the final field and its bad-pixel percentage.
+pub fn solve_stereo(ds: &StereoDataset, sampler: SamplerKind) -> (LabelField, f64) {
+    let app = App::stereo(ds).expect("generated datasets are consistent");
+    let mut chain = Chain::new(&app, app.schedule(), 11);
+    chain.step(
+        &app,
+        &mut Engine::Raster(sampler),
+        STEREO_ITERATIONS,
+        None,
+        &mut NoopObserver,
+    );
+    let (_, bp) = app.score(chain.field());
+    (chain.into_field(), bp)
 }
 
 /// The three named stereo datasets of the evaluation, with their seeds.
@@ -704,7 +200,8 @@ pub fn artifacts_dir() -> PathBuf {
     dir
 }
 
-fn workspace_root() -> PathBuf {
+/// The workspace root, where the `BENCH_*.json` exports live.
+pub fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR of this crate is <root>/crates/bench.
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -753,8 +250,8 @@ pub fn provenance_json_fields() -> String {
         .unwrap_or(1);
     format!(
         "\"host_cores\": {cores}, \"rustc\": {}, \"rustflags\": {}",
-        minijson::Value::String(rustc_version()),
-        minijson::Value::String(rustflags()),
+        chain::minijson::Value::String(rustc_version()),
+        chain::minijson::Value::String(rustflags()),
     )
 }
 
@@ -771,8 +268,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 }
 
 pub mod checkpoint;
-pub mod minijson;
-pub mod trace_jsonl;
 
 /// Plain-text table formatting helpers.
 pub mod table {
@@ -817,7 +312,6 @@ pub mod table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrf::SweepSolver;
 
     #[test]
     fn table_render_aligns_columns() {
@@ -840,23 +334,6 @@ mod tests {
         let b = stereo_suite();
         assert_eq!(a[0].1.left, b[0].1.left);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn small_software_stereo_run_produces_sane_bp() {
-        // A miniature stereo problem: software Gibbs should beat chance
-        // comfortably even with a tiny budget.
-        let ds = scenes::StereoSpec {
-            width: 40,
-            height: 30,
-            num_disparities: 8,
-            num_layers: 2,
-            noise_sigma: 1.0,
-        }
-        .generate(5);
-        let out = run_stereo(&ds, &SamplerKind::Software, 60, 1, 1);
-        assert!(out.bp < 60.0, "bp {}", out.bp);
-        assert!(out.rms.is_finite());
     }
 
     fn strs(args: &[&str]) -> Vec<String> {
@@ -921,7 +398,7 @@ mod tests {
     #[test]
     fn provenance_fields_embed_as_valid_json() {
         let doc = format!("{{{}}}", provenance_json_fields());
-        let parsed = minijson::parse(&doc).expect("provenance fragment must be valid JSON");
+        let parsed = chain::minijson::parse(&doc).expect("provenance fragment must be valid JSON");
         assert!(parsed.get("host_cores").and_then(|v| v.as_f64()).unwrap() >= 1.0);
         let rustc = parsed.get("rustc").and_then(|v| v.as_str()).unwrap();
         assert!(!rustc.is_empty());
@@ -942,50 +419,5 @@ mod tests {
         assert!(parse_trace_path(&strs(&["--trace"])).is_err());
         assert!(parse_trace_path(&strs(&["--trace", "--threads"])).is_err());
         assert!(parse_trace_path(&strs(&["--trace="])).is_err());
-    }
-
-    #[test]
-    fn run_model_observed_with_noop_matches_run_model() {
-        let model = mrf::TabularMrf::checkerboard(6, 6, 3, 4.0, mrf::DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let plain = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model(&model, &mut erased, schedule, 20, 7)
-        };
-        let mut trace = mrf::EnergyTrace::new();
-        let observed = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model_observed(&model, &mut erased, schedule, 20, 7, &mut trace)
-        };
-        assert_eq!(plain, observed);
-        assert_eq!(trace.len(), 20);
-        let last = trace.records().last().unwrap();
-        assert!(
-            (last.energy - total_energy(&model, &observed)).abs() < 1e-6,
-            "incremental energy must track the true total"
-        );
-    }
-
-    #[test]
-    fn erased_samplers_agree_with_sweep_solver_for_software() {
-        // run_model must implement the same loop as SweepSolver (raster
-        // scan): identical seeds → identical fields for the software
-        // kernel.
-        let model = mrf::TabularMrf::checkerboard(6, 6, 2, 4.0, mrf::DistanceFn::Binary, 0.3);
-        let schedule = Schedule::geometric(3.0, 0.9, 0.1);
-        let via_erased = {
-            let mut erased = Erased(SoftwareGibbs::new());
-            run_model(&model, &mut erased, schedule, 30, 9)
-        };
-        let via_solver = {
-            let mut rng = Xoshiro256pp::seed_from_u64(9);
-            let mut field = LabelField::random(model.grid(), 2, &mut rng);
-            SweepSolver::new(&model)
-                .schedule(schedule)
-                .iterations(30)
-                .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
-            field
-        };
-        assert_eq!(via_erased, via_solver);
     }
 }

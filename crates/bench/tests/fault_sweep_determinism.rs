@@ -1,13 +1,14 @@
 //! Determinism contract of the `fig_fault_sweep` driver's unit of work:
 //! a fault-injected array chain driven by
-//! [`bench::checkpoint::run_array_checkpointed`] is bit-identical across
-//! host thread counts and across kill/resume at a sweep boundary, and
-//! its measured load accounting matches the analytic replay the driver
-//! uses to reconstruct artifacts after a resume.
+//! [`bench::checkpoint::CheckpointCtl::run`] on the array engine is
+//! bit-identical across host thread counts and across kill/resume at a
+//! sweep boundary, and its measured load accounting matches the
+//! analytic replay the driver uses to reconstruct artifacts after a
+//! resume.
 
-use bench::checkpoint::{run_array_checkpointed, CheckpointCtl};
-use bench::segmentation_schedule;
-use bench::{SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT};
+use bench::checkpoint::CheckpointCtl;
+use chain::app::{segmentation_schedule, SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT};
+use chain::Engine;
 use mrf::{Checkpoint, MrfModel};
 use rsu::{DegradePolicy, FaultPlan, RsuArray, RsuConfig};
 use scenes::SegmentationSpec;
@@ -47,16 +48,19 @@ fn run_plan(
 ) -> (mrf::LabelField, RsuArray) {
     let mut array = RsuArray::new(RsuConfig::new_design(), UNITS);
     array.install_faults(plan.clone());
-    let field = run_array_checkpointed(
-        model,
-        &mut array,
-        segmentation_schedule(),
-        iterations,
-        CHAIN_SEED,
-        threads,
-        "t/fault-sweep",
-        ctl,
-    );
+    let field = ctl
+        .run(
+            "t/fault-sweep",
+            model,
+            segmentation_schedule(),
+            CHAIN_SEED,
+            &mut Engine::Array {
+                array: &mut array,
+                threads,
+            },
+            iterations,
+        )
+        .into_field();
     (field, array)
 }
 

@@ -29,7 +29,9 @@ use std::fmt;
 /// never need to distinguish them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
     /// A number written with a fraction or exponent (or too large for
     /// `i128`), carried as `f64`.
@@ -37,8 +39,11 @@ pub enum Value {
     /// A number written as a plain integer, carried exactly. `i128`
     /// spans both `i64` and `u64` without a sign compromise.
     Integer(i128),
+    /// A string.
     String(String),
+    /// An array.
     Array(Vec<Value>),
+    /// An object, keys sorted.
     Object(BTreeMap<String, Value>),
 }
 

@@ -273,7 +273,7 @@ where
         }
     } else {
         let group = tasks.len().div_ceil(host_threads);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let run_task = &run_task;
             for chunk in tasks.chunks_mut(group) {
                 s.spawn(move || {
@@ -282,8 +282,7 @@ where
                     }
                 });
             }
-        })
-        .expect("parallel sweep worker panicked");
+        });
     }
 
     // Fold per-row reductions in row order: the summation order is

@@ -6,7 +6,7 @@
 //!
 //! 1. every submitted job completes, and the victim was preempted;
 //! 2. the interactive job finishes before the preempted batch job;
-//! 3. the trace file re-parses through `bench::minijson`, its `"job"`
+//! 3. the trace file re-parses through `chain::minijson`, its `"job"`
 //!    records reconstruct the in-memory event log exactly, and every
 //!    one-shot lifecycle transition appears exactly once per job
 //!    (preempted/resumed in matched pairs);
@@ -22,10 +22,13 @@
 //!    `rejected` event in a lifecycle that still validates, its
 //!    `rejected: true` result round-trips the wire format, and
 //!    `wait_for` resolves for unknown and rejected ids instead of
-//!    hanging.
+//!    hanging;
+//! 8. an 81-label motion spec (wider than the RSU-G's 64 labels) is
+//!    refused at `submit` with a typed error, emits no event, and a
+//!    wait on its id answers `Unknown` — it never reaches a worker.
 
-use bench::minijson::Value;
-use bench::trace_jsonl::parse_jsonl;
+use chain::minijson::Value;
+use chain::trace_jsonl::parse_jsonl;
 use retrsu_serve::{
     percentile, serve, validate_lifecycle, Admission, JobEvent, JobKind, JobResult, JobSpec,
     JobState, JobTask, Priority, QueueLimits, ServeOutcome, ServerConfig, ShedReason, SliceStatus,
@@ -323,7 +326,32 @@ fn main() {
         WaitOutcome::Terminal(JobState::Rejected),
         "a wait on a rejected job must resolve with its terminal state"
     );
+    let too_wide = JobSpec {
+        id: "too-wide".into(),
+        kind: JobKind::Motion {
+            width: 24,
+            height: 20,
+            window: 9,
+            num_patches: 2,
+            noise_sigma: 0.5,
+            scene_seed: 5,
+        },
+        ..victim_spec()
+    };
+    assert!(
+        gate.submit(&too_wide).is_err(),
+        "an 81-label spec must be refused at submit"
+    );
+    assert_eq!(
+        gate.wait_for("too-wide", JobState::Completed),
+        WaitOutcome::Unknown,
+        "a refused spec never enters the system"
+    );
     let gate_run = gate.finish();
+    assert!(
+        gate_run.events.iter().all(|e| e.job != "too-wide"),
+        "a refused spec emits no event"
+    );
     validate_lifecycle(&gate_run.events).expect("shed lifecycle holds");
     assert_eq!(gate_run.shed_jobs, 1);
     assert_eq!(
@@ -360,7 +388,7 @@ fn main() {
     println!(
         "serve_smoke: OK — 3 jobs, victim preempted {}x, {} trace events, digests stable across \
          rerun, cache hit bit-identical to recompute, percentile NaN-safe, forced shed typed + \
-         lifecycle-clean, waits resolve on unknown/rejected ids",
+         lifecycle-clean, waits resolve on unknown/rejected ids, over-wide label space refused",
         victim.preemptions,
         outcome.events.len()
     );

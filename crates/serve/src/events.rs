@@ -18,14 +18,14 @@
 //! always before `started`.
 //!
 //! is emitted as one `{"kind":"job", ...}` line through the same
-//! [`bench::trace_jsonl::JsonlTraceWriter`] the solver traces use, so
+//! [`chain::trace_jsonl::JsonlTraceWriter`] the solver traces use, so
 //! one trace file interleaves sweeps, faults and scheduling and the
 //! existing `parse_jsonl` round-trip gates cover job records too.
 //! [`validate_lifecycle`] is the executable form of the state machine:
 //! CI re-parses a live trace and checks every job's event sequence.
 
 use crate::spec::SpecError;
-use bench::minijson::Value;
+use chain::minijson::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -418,7 +418,7 @@ mod tests {
     fn events_round_trip_through_minijson() {
         for original in full_lifecycle("j-1") {
             let line = original.to_value().to_string();
-            let doc = bench::minijson::parse(&line).unwrap();
+            let doc = chain::minijson::parse(&line).unwrap();
             assert_eq!(doc.get("kind").and_then(Value::as_str), Some("job"));
             assert_eq!(JobEvent::from_value(&doc).unwrap(), original);
         }
@@ -543,7 +543,7 @@ mod tests {
             detail: Some("tenant \"acme\" at live-job limit 2".into()),
             ..event("shed-3", JobState::Rejected, 4.25, 0)
         };
-        let doc = bench::minijson::parse(&original.to_value().to_string()).unwrap();
+        let doc = chain::minijson::parse(&original.to_value().to_string()).unwrap();
         assert_eq!(JobEvent::from_value(&doc).unwrap(), original);
     }
 

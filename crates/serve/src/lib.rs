@@ -7,7 +7,7 @@
 //! substrate the workspace already trusts:
 //!
 //! * **Wire format** ([`spec`]) — [`JobSpec`] in, [`JobResult`] out,
-//!   both serialized through `bench::minijson`. A job is a pure
+//!   both serialized through `chain::minijson`. A job is a pure
 //!   function of its spec (scene from `scene_seed`, chain from `seed`),
 //!   so responses are deterministic and cacheable; 64-bit seeds and
 //!   digests ride the wire integer-exact.
@@ -32,7 +32,7 @@
 //! * **Observability** ([`events`]) — every lifecycle transition
 //!   (submitted → admitted → started → preempted → resumed →
 //!   completed/failed) is a typed [`JobEvent`] streamed as a `"job"`
-//!   JSONL record through `bench::trace_jsonl`, and
+//!   JSONL record through `chain::trace_jsonl`, and
 //!   [`validate_lifecycle`] mechanically checks a trace against the
 //!   state machine (DESIGN §13).
 //!

@@ -1,6 +1,7 @@
 //! Job execution: a [`JobTask`] turns a validated [`JobSpec`] into a
-//! running annealing chain on an [`RsuArray`] and supports suspension
-//! at any sweep boundary.
+//! [`Chain`] on the spec's [`App`], stepped on an [`RsuArray`] (the
+//! chain crate's array engine), and supports suspension at any sweep
+//! boundary.
 //!
 //! The preemption contract rests on two facts:
 //!
@@ -19,198 +20,72 @@
 //! resumed, and at every host thread count.
 
 use crate::spec::{field_digest, JobKind, JobSpec, SpecError};
-use bench::{
-    annealing_schedule, segmentation_schedule, MOTION_DATA_WEIGHT, MOTION_SMOOTH_WEIGHT,
-    SEGMENT_DATA_WEIGHT, SEGMENT_SMOOTH_WEIGHT, STEREO_DATA_WEIGHT, STEREO_SMOOTH_WEIGHT,
-};
-use mrf::{Checkpoint, LabelField, MrfModel, Schedule};
-use rand::SeedableRng;
+use chain::{App, Chain, ChainModel, Engine};
+use mrf::{Checkpoint, NoopObserver};
 use rsu::RsuArray;
-use sampling::Xoshiro256pp;
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use vision::{
-    metrics::{bad_pixel_percentage, endpoint_error, variation_of_information},
-    MotionModel, SegmentModel, StereoModel,
-};
+use std::sync::atomic::AtomicBool;
 
-/// The materialized workload: MRF model plus the ground truth needed
-/// for scoring, both rebuilt deterministically from the spec.
-enum JobModel {
-    Stereo {
-        model: StereoModel,
-        truth: LabelField,
-        occlusion: Vec<bool>,
-    },
-    Motion {
-        model: MotionModel,
-        truth: Vec<(isize, isize)>,
-    },
-    Segmentation {
-        model: SegmentModel,
-        truth: LabelField,
-    },
-}
-
-impl JobModel {
-    fn build(spec: &JobSpec) -> Result<Self, SpecError> {
-        let bad_model =
-            |e: vision::VisionError| SpecError::new(format!("model construction failed: {e}"));
-        match spec.kind {
-            JobKind::Stereo {
+/// Materializes a spec's application: scene, model and ground truth,
+/// all pure functions of the spec.
+fn build_app(spec: &JobSpec) -> Result<App, SpecError> {
+    let app = match spec.kind {
+        JobKind::Stereo {
+            width,
+            height,
+            num_disparities,
+            num_layers,
+            noise_sigma,
+            scene_seed,
+        } => App::stereo(
+            &StereoSpec {
                 width,
                 height,
                 num_disparities,
                 num_layers,
-                noise_sigma,
-                scene_seed,
-            } => {
-                let ds = StereoSpec {
-                    width,
-                    height,
-                    num_disparities,
-                    num_layers,
-                    noise_sigma: noise_sigma as f32,
-                }
-                .generate(scene_seed);
-                let model = StereoModel::new(
-                    &ds.left,
-                    &ds.right,
-                    ds.num_disparities,
-                    STEREO_DATA_WEIGHT,
-                    STEREO_SMOOTH_WEIGHT,
-                )
-                .map_err(bad_model)?;
-                Ok(JobModel::Stereo {
-                    model,
-                    truth: ds.ground_truth,
-                    occlusion: ds.occlusion,
-                })
+                noise_sigma: noise_sigma as f32,
             }
-            JobKind::Motion {
+            .generate(scene_seed),
+        ),
+        JobKind::Motion {
+            width,
+            height,
+            window,
+            num_patches,
+            noise_sigma,
+            scene_seed,
+        } => App::motion(
+            &FlowSpec {
                 width,
                 height,
                 window,
                 num_patches,
-                noise_sigma,
-                scene_seed,
-            } => {
-                let ds = FlowSpec {
-                    width,
-                    height,
-                    window,
-                    num_patches,
-                    noise_sigma: noise_sigma as f32,
-                }
-                .generate(scene_seed);
-                let model = MotionModel::new(
-                    &ds.frame1,
-                    &ds.frame2,
-                    ds.window,
-                    MOTION_DATA_WEIGHT,
-                    MOTION_SMOOTH_WEIGHT,
-                )
-                .map_err(bad_model)?;
-                Ok(JobModel::Motion {
-                    model,
-                    truth: ds.ground_truth,
-                })
+                noise_sigma: noise_sigma as f32,
             }
-            JobKind::Segmentation {
+            .generate(scene_seed),
+        ),
+        JobKind::Segmentation {
+            width,
+            height,
+            num_regions,
+            noise_sigma,
+            contrast,
+            scene_seed,
+        } => {
+            let ds = SegmentationSpec {
                 width,
                 height,
                 num_regions,
-                noise_sigma,
-                contrast,
-                scene_seed,
-            } => {
-                let ds = SegmentationSpec {
-                    width,
-                    height,
-                    num_regions,
-                    noise_sigma: noise_sigma as f32,
-                    contrast: contrast as f32,
-                }
-                .generate(scene_seed);
-                let model = SegmentModel::new(
-                    &ds.image,
-                    ds.num_regions,
-                    SEGMENT_DATA_WEIGHT,
-                    SEGMENT_SMOOTH_WEIGHT,
-                )
-                .map_err(bad_model)?;
-                Ok(JobModel::Segmentation {
-                    model,
-                    truth: ds.ground_truth,
-                })
+                noise_sigma: noise_sigma as f32,
+                contrast: contrast as f32,
             }
+            .generate(scene_seed);
+            App::segmentation(&ds, ds.num_regions)
         }
-    }
-
-    fn grid(&self) -> mrf::Grid {
-        match self {
-            JobModel::Stereo { model, .. } => model.grid(),
-            JobModel::Motion { model, .. } => model.grid(),
-            JobModel::Segmentation { model, .. } => model.grid(),
-        }
-    }
-
-    fn num_labels(&self) -> usize {
-        match self {
-            JobModel::Stereo { model, .. } => model.num_labels(),
-            JobModel::Motion { model, .. } => model.num_labels(),
-            JobModel::Segmentation { model, .. } => model.num_labels(),
-        }
-    }
-
-    fn schedule(&self) -> Schedule {
-        match self {
-            JobModel::Segmentation { .. } => segmentation_schedule(),
-            _ => annealing_schedule(),
-        }
-    }
-
-    fn sweep(
-        &self,
-        array: &mut RsuArray,
-        field: &mut LabelField,
-        temperature: f64,
-        iteration: u64,
-        seed: u64,
-        threads: usize,
-    ) {
-        match self {
-            JobModel::Stereo { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
-            }
-            JobModel::Motion { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
-            }
-            JobModel::Segmentation { model, .. } => {
-                array.sweep_parallel(model, field, temperature, iteration, seed, threads);
-            }
-        }
-    }
-
-    fn score(&self, field: &LabelField) -> (&'static str, f64) {
-        match self {
-            JobModel::Stereo {
-                truth, occlusion, ..
-            } => (
-                "bp",
-                bad_pixel_percentage(field, truth, Some(occlusion), 1.0),
-            ),
-            JobModel::Motion { model, truth } => {
-                let flow: Vec<(isize, isize)> = (0..field.grid().len())
-                    .map(|site| model.label_to_flow(field.get(site)))
-                    .collect();
-                ("epe", endpoint_error(&flow, truth))
-            }
-            JobModel::Segmentation { truth, .. } => ("voi", variation_of_information(field, truth)),
-        }
-    }
+    };
+    app.map_err(|e| SpecError::new(format!("model construction failed: {e}")))
 }
 
 /// A worker-local cache of built scene models, keyed by
@@ -220,14 +95,14 @@ impl JobModel {
 /// construction (both are pure functions of `application` + `scene`),
 /// so a worker that is handed a same-scene co-dispatch group — or the
 /// same job again after a quantum requeue — reuses the built
-/// [`MrfModel`] instead of regenerating the scene and rebuilding the
+/// [`App`] instead of regenerating the scene and rebuilding the
 /// energy tables per slice. Models are immutable during sweeps, so
 /// sharing one behind an `Rc` cannot change what any chain computes;
 /// eviction is least-recently-used over a small capacity.
 pub struct SceneModelCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<u64, (Rc<JobModel>, u64)>,
+    entries: HashMap<u64, (Rc<App>, u64)>,
     builds: u64,
 }
 
@@ -249,10 +124,10 @@ impl SceneModelCache {
         self.builds
     }
 
-    fn get_or_build(&mut self, spec: &JobSpec) -> Result<Rc<JobModel>, SpecError> {
+    fn get_or_build(&mut self, spec: &JobSpec) -> Result<Rc<App>, SpecError> {
         if self.capacity == 0 {
             self.builds += 1;
-            return Ok(Rc::new(JobModel::build(spec)?));
+            return Ok(Rc::new(build_app(spec)?));
         }
         self.tick += 1;
         let key = spec.scene_digest();
@@ -261,7 +136,7 @@ impl SceneModelCache {
             return Ok(Rc::clone(model));
         }
         self.builds += 1;
-        let model = Rc::new(JobModel::build(spec)?);
+        let model = Rc::new(build_app(spec)?);
         if self.entries.len() >= self.capacity {
             if let Some(&oldest) = self
                 .entries
@@ -291,22 +166,20 @@ pub enum SliceStatus {
     Preempted,
 }
 
-/// A job materialized for execution: model + chain state. The model is
-/// behind an `Rc` so same-scene tasks on one worker can share a single
-/// build (see [`SceneModelCache`]).
+/// A job materialized for execution: spec, application and [`Chain`].
+/// The application is behind an `Rc` so same-scene tasks on one worker
+/// can share a single build (see [`SceneModelCache`]).
 pub struct JobTask {
     spec: JobSpec,
-    model: Rc<JobModel>,
-    schedule: Schedule,
-    field: LabelField,
-    next_sweep: usize,
+    app: Rc<App>,
+    chain: Chain,
 }
 
 impl JobTask {
     /// Materializes a fresh task: builds the scene and model from the
     /// spec and draws the initial field from the chain seed — exactly
-    /// the initialization the standalone checkpointed drivers use, so a
-    /// served job reproduces a CLI run with the same spec.
+    /// the initialization the figure drivers use, so a served job
+    /// reproduces a CLI run with the same spec.
     pub fn start(spec: JobSpec) -> Result<Self, SpecError> {
         let mut fresh = SceneModelCache::new(0);
         Self::start_cached(spec, &mut fresh)
@@ -318,17 +191,9 @@ impl JobTask {
     /// the model is a pure function of the spec either way.
     pub fn start_cached(spec: JobSpec, models: &mut SceneModelCache) -> Result<Self, SpecError> {
         spec.validate()?;
-        let model = models.get_or_build(&spec)?;
-        let mut rng = Xoshiro256pp::seed_from_u64(spec.seed);
-        let field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-        let schedule = model.schedule();
-        Ok(JobTask {
-            spec,
-            model,
-            schedule,
-            field,
-            next_sweep: 0,
-        })
+        let app = models.get_or_build(&spec)?;
+        let chain = Chain::new(&*app, app.schedule(), spec.seed);
+        Ok(JobTask { spec, app, chain })
     }
 
     /// Materializes a task from a suspended job's checkpoint. The model
@@ -362,21 +227,18 @@ impl JobTask {
                 checkpoint.next_iteration, spec.iterations
             )));
         }
-        let model = models.get_or_build(&spec)?;
-        let field = checkpoint.restore_field();
-        if field.grid() != model.grid() || field.num_labels() != model.num_labels() {
+        let app = models.get_or_build(&spec)?;
+        let (grid, num_labels) = app.label_space();
+        if checkpoint.grid_width != grid.width()
+            || checkpoint.grid_height != grid.height()
+            || checkpoint.num_labels != num_labels
+        {
             return Err(SpecError::new(
                 "checkpoint field does not match the spec's model",
             ));
         }
-        let schedule = model.schedule();
-        Ok(JobTask {
-            spec,
-            model,
-            schedule,
-            field,
-            next_sweep: checkpoint.next_iteration,
-        })
+        let chain = Chain::resume(checkpoint, app.schedule());
+        Ok(JobTask { spec, app, chain })
     }
 
     /// The spec this task executes.
@@ -386,12 +248,12 @@ impl JobTask {
 
     /// Sweeps completed so far.
     pub fn sweeps_done(&self) -> u64 {
-        self.next_sweep as u64
+        self.chain.next_sweep() as u64
     }
 
     /// Whether the iteration budget is exhausted.
     pub fn is_done(&self) -> bool {
-        self.next_sweep >= self.spec.iterations
+        self.chain.next_sweep() >= self.spec.iterations
     }
 
     /// Runs up to `max_sweeps` sweeps on `array`, polling `preempt`
@@ -404,23 +266,23 @@ impl JobTask {
         max_sweeps: usize,
         preempt: &AtomicBool,
     ) -> SliceStatus {
-        let end = self.spec.iterations.min(self.next_sweep + max_sweeps);
-        while self.next_sweep < end {
-            if preempt.load(Ordering::Acquire) {
-                return SliceStatus::Preempted;
-            }
-            let temperature = self.schedule.temperature(self.next_sweep);
-            self.model.sweep(
-                array,
-                &mut self.field,
-                temperature,
-                self.next_sweep as u64,
-                self.spec.seed,
-                self.spec.threads,
-            );
-            self.next_sweep += 1;
-        }
-        if self.is_done() {
+        let end = self
+            .spec
+            .iterations
+            .min(self.chain.next_sweep() + max_sweeps);
+        let mut engine = Engine::Array {
+            array,
+            threads: self.spec.threads,
+        };
+        if !self.chain.step(
+            &*self.app,
+            &mut engine,
+            end,
+            Some(preempt),
+            &mut NoopObserver,
+        ) {
+            SliceStatus::Preempted
+        } else if self.is_done() {
             SliceStatus::Completed
         } else {
             SliceStatus::Expired
@@ -429,17 +291,9 @@ impl JobTask {
 
     /// Captures the suspension state in the v1 checkpoint format
     /// (engine = job id, chain seed recorded, energy NaN — the array
-    /// drivers thread no incremental energy accumulator).
+    /// engine threads no incremental energy accumulator).
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            &self.spec.id,
-            &self.field,
-            self.next_sweep,
-            f64::NAN,
-            0,
-            Vec::new(),
-        )
-        .with_seed(self.spec.seed)
+        self.chain.checkpoint(&self.spec.id)
     }
 
     /// Scores the finished field: `(metric name, score, field digest)`.
@@ -449,8 +303,8 @@ impl JobTask {
     /// Panics if called before the iteration budget is exhausted.
     pub fn finish(&self) -> (&'static str, f64, u64) {
         assert!(self.is_done(), "finish() on an unfinished job");
-        let (metric, score) = self.model.score(&self.field);
-        (metric, score, field_digest(&self.field))
+        let (metric, score) = self.app.score(self.chain.field());
+        (metric, score, field_digest(self.chain.field()))
     }
 }
 

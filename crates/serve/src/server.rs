@@ -45,7 +45,7 @@ use crate::sched::{
     AdmissionOutcome, AdmissionQueue, Pending, QueueLimits, ResumeFrom, ShedReason,
 };
 use crate::spec::{JobResult, JobSpec, Priority, SpecError};
-use bench::trace_jsonl::JsonlTraceWriter;
+use chain::trace_jsonl::JsonlTraceWriter;
 use mrf::Checkpoint;
 use rsu::{RsuArray, RsuConfig};
 use std::collections::{BTreeMap, VecDeque};

@@ -1,6 +1,6 @@
 //! The job-server wire format: [`JobSpec`] in, [`JobResult`] out.
 //!
-//! Both sides serialize through `bench::minijson`, the same
+//! Both sides serialize through `chain::minijson`, the same
 //! reader/writer pair the trace and bench artifacts use, so the CI
 //! round-trip gates exercise this grammar too. A job is a pure function
 //! of its spec — the scene is generated from `scene_seed`, the chain
@@ -12,7 +12,8 @@
 //! number payload would silently round seeds above 2^53 and quietly
 //! change which chain a retry runs.
 
-use bench::minijson::{self, Value};
+use chain::minijson::{self, Value};
+use rsu::RsuConfig;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -103,6 +104,18 @@ impl JobKind {
             JobKind::Stereo { width, height, .. }
             | JobKind::Motion { width, height, .. }
             | JobKind::Segmentation { width, height, .. } => width * height,
+        }
+    }
+
+    /// Size of the label space: stereo disparities, the motion
+    /// window's `window²` flow vectors, or segmentation regions.
+    pub fn num_labels(&self) -> usize {
+        match *self {
+            JobKind::Stereo {
+                num_disparities, ..
+            } => num_disparities,
+            JobKind::Motion { window, .. } => window * window,
+            JobKind::Segmentation { num_regions, .. } => num_regions,
         }
     }
 
@@ -311,6 +324,16 @@ impl JobSpec {
                     return Err(SpecError::new("segmentation num_regions must be in 2..=64"));
                 }
             }
+        }
+        // The array's units race at most this many labels per site; a
+        // wider label space would panic the worker mid-job.
+        let max_labels = RsuConfig::new_design().max_labels();
+        if self.kind.num_labels() > max_labels {
+            return Err(SpecError::new(format!(
+                "{} label space has {} labels, more than the RSU-G maximum {max_labels}",
+                self.kind.name(),
+                self.kind.num_labels()
+            )));
         }
         Ok(())
     }
@@ -604,6 +627,53 @@ mod tests {
                 noise_sigma: 1.0,
                 scene_seed: (1 << 53) + 1,
             },
+        }
+    }
+
+    #[test]
+    fn label_spaces_wider_than_the_rsu_are_rejected() {
+        let stereo = |num_disparities| JobKind::Stereo {
+            width: 80,
+            height: 8,
+            num_disparities,
+            num_layers: 2,
+            noise_sigma: 1.0,
+            scene_seed: 1,
+        };
+        let motion = |window| JobKind::Motion {
+            width: 24,
+            height: 20,
+            window,
+            num_patches: 2,
+            noise_sigma: 0.5,
+            scene_seed: 7,
+        };
+        let segmentation = JobKind::Segmentation {
+            width: 16,
+            height: 12,
+            num_regions: 64,
+            noise_sigma: 2.0,
+            contrast: 90.0,
+            scene_seed: 3,
+        };
+        for (kind, labels, accepted) in [
+            (motion(9), 81, false),
+            (stereo(65), 65, false),
+            (segmentation, 64, true),
+            (motion(7), 49, true),
+        ] {
+            assert_eq!(kind.num_labels(), labels, "{kind:?}");
+            let spec = JobSpec {
+                kind,
+                ..sample_spec()
+            };
+            match spec.validate() {
+                Ok(()) => assert!(accepted, "{labels} labels must be rejected"),
+                Err(e) => {
+                    assert!(!accepted, "{labels} labels must be accepted, got {e}");
+                    assert!(e.message.contains("RSU-G maximum 64"), "{e}");
+                }
+            }
         }
     }
 

@@ -101,7 +101,7 @@ pub fn enumerate_parallel(
     }
     let mut points: Vec<Option<DesignPoint>> = vec![None; keys.len()];
     let chunk = keys.len().div_ceil(workers);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (keys, out) in keys.chunks(chunk).zip(points.chunks_mut(chunk)) {
             s.spawn(move || {
                 for (&(tb, tr), slot) in keys.iter().zip(out.iter_mut()) {
@@ -109,8 +109,7 @@ pub fn enumerate_parallel(
                 }
             });
         }
-    })
-    .expect("design-point synthesis worker panicked");
+    });
     points
         .into_iter()
         .map(|p| p.expect("every slot synthesised"))
