@@ -21,6 +21,18 @@ fi
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+# The repository benchmark (perfbench/, a workspace of its own) builds
+# against retrsu-serve by path: an API change it depends on must fail
+# here, not only when the benchmark runs. Cargo rewrites
+# perfbench/Cargo.lock whenever the crates' dependency graph moves, so
+# the committed lock is restored afterwards, on failure too.
+echo "==> cargo check perfbench (the repository benchmark still compiles)"
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
+cargo check --offline --manifest-path perfbench/Cargo.toml
+cp "$perfbench_lock" perfbench/Cargo.lock
+
 # --workspace matters: the root is a facade package, so a bare
 # `cargo build`/`cargo test` would only cover it, leaving the member
 # crates' binaries and test suites out of the gate.

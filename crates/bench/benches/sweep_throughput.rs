@@ -1,12 +1,14 @@
 //! Sweep-engine throughput: sites/second on a 256×256, 16-label Potts
-//! model for the sequential raster [`SweepSolver`] baseline, its f32
-//! fast path (`NumericPolicy::Fast`), the parallel checkerboard
-//! [`ParallelSweepSolver`] at 1/2/4/8 worker threads, and the
-//! optimization-mode configurations on a pre-annealed field at the
-//! schedule floor: full exact sweeps versus f32 + active-site
-//! scheduling (the late-annealing scenario the worklist exists for —
-//! the first sweep visits everything, the rest only flipped-or-
-//! neighboured sites).
+//! model for the sequential raster [`SweepSolver`] baseline, the
+//! parallel checkerboard [`ParallelSweepSolver`] at 1/2/4/8 worker
+//! threads and its f32 fast path (`NumericPolicy::Fast`) at one
+//! thread, and the optimization-mode configurations on a pre-annealed
+//! field at the schedule floor: full exact raster sweeps versus the
+//! checkerboard engine's f32 + active-site scheduling at one thread
+//! (the late-annealing scenario the worklist exists for — the first
+//! sweep visits everything, the rest only flipped-or-neighboured
+//! sites). The fast rows run the engine the drivers run for
+//! `--numeric fast` / `--active`.
 //!
 //! Annealed rows time a block of [`ANNEALED_SWEEPS`] sweeps per
 //! solver call and report per-sweep numbers; `sites_per_sec` counts
@@ -73,18 +75,6 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
     });
 
-    // The same hot full sweep under the f32 fast path.
-    group.bench_function("sequential/fast", |b| {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let mut field = LabelField::random(model.grid(), LABELS, &mut rng);
-        let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
-            .schedule(Schedule::constant(1.5))
-            .iterations(1)
-            .numeric(NumericPolicy::Fast);
-        b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
-    });
-
     // Parallel checkerboard engine at each thread count. Same model,
     // same per-site deterministic randomness — only the worker count
     // (and therefore wall-clock) varies.
@@ -102,6 +92,20 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         });
     }
 
+    // The same hot full sweep under the f32 fast path, one thread.
+    group.bench_function("parallel/1-threads/fast", |b| {
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let mut field = LabelField::random(model.grid(), LABELS, &mut rng);
+        let solver = ParallelSweepSolver::new(&model)
+            .schedule(Schedule::constant(1.5))
+            .iterations(1)
+            .threads(1)
+            .seed(7)
+            .numeric(NumericPolicy::Fast);
+        let gibbs = SoftwareGibbs::new();
+        b.iter(|| solver.run(&mut field, &gibbs));
+    });
+
     // Annealed regime: a converged field held at the schedule floor.
     // Each timed call runs ANNEALED_SWEEPS sweeps, so per-sweep numbers
     // amortize the one full worklist-rebuilding pass over the block.
@@ -115,16 +119,18 @@ fn bench_sweep_throughput(c: &mut Criterion) {
             .iterations(ANNEALED_SWEEPS);
         b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
     });
-    group.bench_function("annealed/fast-active", |b| {
+    group.bench_function("annealed/parallel-1-threads/fast-active", |b| {
         let mut rng = Xoshiro256pp::seed_from_u64(9);
         let mut field = annealed_field(&model, &mut rng);
-        let mut gibbs = SoftwareGibbs::new();
-        let solver = SweepSolver::new(&model)
+        let solver = ParallelSweepSolver::new(&model)
             .schedule(Schedule::constant(COLD_TEMPERATURE))
             .iterations(ANNEALED_SWEEPS)
+            .threads(1)
+            .seed(9)
             .numeric(NumericPolicy::Fast)
             .active_sites(true);
-        b.iter(|| solver.run(&mut field, &mut gibbs, &mut rng));
+        let gibbs = SoftwareGibbs::new();
+        b.iter(|| solver.run(&mut field, &gibbs));
     });
     group.finish();
 

@@ -47,21 +47,8 @@ use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            return iter
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a positive integer"));
-        }
-        if let Some(value) = arg.strip_prefix(&format!("{flag}=")) {
-            return value
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} needs a positive integer"));
-        }
-    }
-    default
+    let parsed = bench::positive_flag(args, flag).map(|value| value.unwrap_or(default));
+    bench::or_usage_exit(parsed, &format!("{flag} <N>   a positive integer"))
 }
 
 /// The three applications cycled through the traffic mix, scaled small

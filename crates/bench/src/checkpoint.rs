@@ -26,98 +26,39 @@
 //! The checkpoint interval never changes a chain either: stepping in
 //! chunks equals stepping in one go.
 
-use crate::artifacts_dir;
+use crate::{artifacts_dir, or_usage_exit, path_flag, positive_flag, process_args};
 use chain::{Chain, ChainModel, Engine};
 use mrf::{Checkpoint, NoopObserver, Schedule};
 use std::path::{Path, PathBuf};
 
 /// Parses `--checkpoint-every N` (or `--checkpoint-every=N`) from the
 /// process arguments: the sweep interval between checkpoint writes,
-/// `None` when absent. Exits with code 2 on a malformed value, like
-/// [`crate::threads_from_args`].
+/// `None` when absent. Exits with code 2 on a malformed value.
 pub fn checkpoint_every_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_checkpoint_every(&args) {
-        Ok(every) => every,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!(
-                "usage: --checkpoint-every <N>   write a checkpoint every N sweeps, a positive integer"
-            );
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(
+        parse_checkpoint_every(&process_args()),
+        "--checkpoint-every <N>   write a checkpoint every N sweeps, a positive integer",
+    )
 }
 
 /// The testable core of [`checkpoint_every_from_args`].
 pub fn parse_checkpoint_every(args: &[String]) -> Result<Option<usize>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--checkpoint-every" {
-            match args.get(i + 1) {
-                None => return Err("--checkpoint-every requires a value".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!(
-                        "--checkpoint-every requires a value, found flag '{next}'"
-                    ))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--checkpoint-every=") {
-            rest
-        } else {
-            continue;
-        };
-        return value
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .map(Some)
-            .ok_or_else(|| {
-                format!("--checkpoint-every requires a positive integer, got '{value}'")
-            });
-    }
-    Ok(None)
+    positive_flag(args, "--checkpoint-every")
 }
+
+const RESUME_USAGE: &str =
+    "--resume <path>   continue from a checkpoint written by --checkpoint-every";
 
 /// Parses `--resume <path>` (or `--resume=<path>`) from the process
 /// arguments: the checkpoint to continue from, `None` when absent.
 /// Exits with code 2 on a missing value.
 pub fn resume_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_resume_path(&args) {
-        Ok(path) => path,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!(
-                "usage: --resume <path>   continue from a checkpoint written by --checkpoint-every"
-            );
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(parse_resume_path(&process_args()), RESUME_USAGE)
 }
 
 /// The testable core of [`resume_path_from_args`].
 pub fn parse_resume_path(args: &[String]) -> Result<Option<PathBuf>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--resume" {
-            match args.get(i + 1) {
-                None => return Err("--resume requires a path".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--resume requires a path, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--resume=") {
-            rest
-        } else {
-            continue;
-        };
-        if value.is_empty() {
-            return Err("--resume requires a non-empty path".to_string());
-        }
-        return Ok(Some(PathBuf::from(value)));
-    }
-    Ok(None)
+    path_flag(args, "--resume")
 }
 
 /// Per-driver checkpoint control: whether/where to write checkpoints
@@ -150,12 +91,10 @@ impl CheckpointCtl {
     /// be loaded exits with code 2.
     pub fn from_args_or_exit(driver: &str) -> Self {
         let every = checkpoint_every_from_args();
-        let resume = resume_path_from_args().map(|p| match Checkpoint::load(&p) {
-            Ok(cp) => cp,
-            Err(e) => {
-                eprintln!("error: cannot resume from {}: {e}", p.display());
-                std::process::exit(2);
-            }
+        let resume = resume_path_from_args().map(|p| {
+            let loaded = Checkpoint::load(&p)
+                .map_err(|e| format!("cannot resume from {}: {e}", p.display()));
+            or_usage_exit(loaded, RESUME_USAGE)
         });
         let path = artifacts_dir().join(format!("{driver}.ckpt"));
         CheckpointCtl::new(every, path, resume)

@@ -23,131 +23,114 @@ use scenes::{FlowDataset, StereoDataset};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Parses `--threads N` (or `--threads=N`) from the process arguments
-/// (default 1). On a malformed value it prints a usage message to
-/// stderr and exits with code 2 instead of panicking.
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_threads(&args) {
-        Ok(n) => n,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --threads <N>   worker threads, a positive integer (default 1)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The testable core of [`threads_from_args`]: scans `args` for
-/// `--threads N` or `--threads=N` and returns the thread count
-/// (`Ok(1)` when the flag is absent) or a description of what is wrong
-/// with it.
-pub fn parse_threads(args: &[String]) -> Result<usize, String> {
+/// Scans `args` for `--name <value>` or `--name=<value>` and returns
+/// the value of the first occurrence (`None` when the flag is absent).
+/// A missing value — the end of the arguments, or another flag in its
+/// place (`--threads --trace out.jsonl`) — is an error.
+pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let prefix = format!("{name}=");
     for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--threads" {
-            match args.get(i + 1) {
-                // `--threads --trace out.jsonl`: the next token is
-                // another flag, not a value.
-                None => return Err("--threads requires a value".to_string()),
+        if *arg == name {
+            return match args.get(i + 1) {
+                None => Err(format!("{name} requires a value")),
                 Some(next) if next.starts_with("--") => {
-                    return Err(format!("--threads requires a value, found flag '{next}'"))
+                    Err(format!("{name} requires a value, found flag '{next}'"))
                 }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            rest
-        } else {
-            continue;
-        };
-        return value
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--threads requires a positive integer, got '{value}'"));
-    }
-    Ok(1)
-}
-
-/// Parses `--trace <path>` (or `--trace=<path>`) from the process
-/// arguments: the JSONL trace destination, `None` when absent. Exits
-/// with code 2 on a missing value, like [`threads_from_args`].
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_trace_path(&args) {
-        Ok(path) => path,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --trace <path>   write per-sweep JSONL trace records to <path>");
-            std::process::exit(2);
+                Some(next) => Ok(Some(next)),
+            };
         }
-    }
-}
-
-/// The testable core of [`trace_path_from_args`].
-pub fn parse_trace_path(args: &[String]) -> Result<Option<PathBuf>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--trace" {
-            match args.get(i + 1) {
-                None => return Err("--trace requires a path".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--trace requires a path, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--trace=") {
-            rest
-        } else {
-            continue;
-        };
-        if value.is_empty() {
-            return Err("--trace requires a non-empty path".to_string());
+        if let Some(value) = arg.strip_prefix(&prefix) {
+            return Ok(Some(value));
         }
-        return Ok(Some(PathBuf::from(value)));
     }
     Ok(None)
 }
 
+/// The value of `--name <N>` / `--name=<N>` as a positive integer,
+/// `None` when the flag is absent.
+pub fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    flag_value(args, name)?
+        .map(|value| {
+            value
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{name} requires a positive integer, got '{value}'"))
+        })
+        .transpose()
+}
+
+/// The value of `--name <path>` / `--name=<path>` as a non-empty path.
+pub(crate) fn path_flag(args: &[String], name: &str) -> Result<Option<PathBuf>, String> {
+    match flag_value(args, name)? {
+        Some("") => Err(format!("{name} requires a non-empty path")),
+        value => Ok(value.map(PathBuf::from)),
+    }
+}
+
+/// Unwraps a parsed command-line value, or prints the error and the
+/// `usage` line to stderr and exits with code 2: a bad flag never
+/// panics.
+pub fn or_usage_exit<T>(parsed: Result<T, String>, usage: &str) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The process arguments after the program name.
+pub(crate) fn process_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// Parses `--threads N` (or `--threads=N`) from the process arguments
+/// (default 1), exiting with code 2 on a malformed value.
+pub fn threads_from_args() -> usize {
+    or_usage_exit(
+        parse_threads(&process_args()),
+        "--threads <N>   worker threads, a positive integer (default 1)",
+    )
+}
+
+/// The testable core of [`threads_from_args`].
+pub fn parse_threads(args: &[String]) -> Result<usize, String> {
+    Ok(positive_flag(args, "--threads")?.unwrap_or(1))
+}
+
+/// Parses `--trace <path>` (or `--trace=<path>`) from the process
+/// arguments: the JSONL trace destination, `None` when absent. Exits
+/// with code 2 on a missing value.
+pub fn trace_path_from_args() -> Option<PathBuf> {
+    or_usage_exit(
+        parse_trace_path(&process_args()),
+        "--trace <path>   write per-sweep JSONL trace records to <path>",
+    )
+}
+
+/// The testable core of [`trace_path_from_args`].
+pub fn parse_trace_path(args: &[String]) -> Result<Option<PathBuf>, String> {
+    path_flag(args, "--trace")
+}
+
 /// Parses `--numeric exact|fast` (or `--numeric=fast`) from the process
 /// arguments: the solver's [`NumericPolicy`], defaulting to the
-/// bit-exact f64 path. Exits with code 2 on a malformed value, like
-/// [`threads_from_args`].
+/// bit-exact f64 path. Exits with code 2 on a malformed value.
 pub fn numeric_from_args() -> NumericPolicy {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_numeric(&args) {
-        Ok(numeric) => numeric,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("usage: --numeric exact|fast   numeric policy (default exact)");
-            std::process::exit(2);
-        }
-    }
+    or_usage_exit(
+        parse_numeric(&process_args()),
+        "--numeric exact|fast   numeric policy (default exact)",
+    )
 }
 
 /// The testable core of [`numeric_from_args`].
 pub fn parse_numeric(args: &[String]) -> Result<NumericPolicy, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if arg == "--numeric" {
-            match args.get(i + 1) {
-                None => return Err("--numeric requires a value".to_string()),
-                Some(next) if next.starts_with("--") => {
-                    return Err(format!("--numeric requires a value, found flag '{next}'"))
-                }
-                Some(next) => next.as_str(),
-            }
-        } else if let Some(rest) = arg.strip_prefix("--numeric=") {
-            rest
-        } else {
-            continue;
-        };
-        return match value {
-            "exact" => Ok(NumericPolicy::Exact),
-            "fast" => Ok(NumericPolicy::Fast),
-            other => Err(format!(
-                "--numeric must be 'exact' or 'fast', got '{other}'"
-            )),
-        };
+    match flag_value(args, "--numeric")? {
+        None => Ok(NumericPolicy::Exact),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("--numeric must be 'exact' or 'fast', got '{value}'")),
     }
-    Ok(NumericPolicy::Exact)
 }
 
 /// Whether `--active` appears in the process arguments: enables

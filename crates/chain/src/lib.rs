@@ -157,9 +157,10 @@ impl Engine<'static> {
     /// The routing rule of the `--threads` / `--numeric` / `--active`
     /// driver flags: the raster engine for one thread, exact numerics
     /// and full sweeps — the historical chain stays untouched — and the
-    /// checkerboard engine otherwise, even at one thread, because its
-    /// counter-based streams are the only chain the f32 and worklist
-    /// determinism contracts cover.
+    /// checkerboard engine otherwise, even at one thread: it is the only
+    /// engine with the f32 kernel and the worklist, and its
+    /// counter-based streams are the chain their determinism contracts
+    /// cover.
     pub fn solver(
         sampler: SamplerKind,
         threads: usize,

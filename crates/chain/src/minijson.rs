@@ -1,8 +1,8 @@
 //! A minimal JSON reader/writer for the workspace's `BENCH_*.json`
 //! artifacts and solver trace streams.
 //!
-//! The build environment has no `serde_json` (offline, stub registry),
-//! and the bench exports are machine-written with a known shape, so a
+//! The workspace has no JSON dependency (it builds offline), and the
+//! bench exports are machine-written with a known shape, so a
 //! small recursive-descent parser covering the full JSON grammar is all
 //! `bench_compare` needs. It accepts exactly the JSON grammar — strict
 //! number forms (no `1.`, `01` or empty exponents), exactly four hex
@@ -48,6 +48,17 @@ pub enum Value {
 }
 
 impl Value {
+    /// Builds an object from key/value pairs (a repeated key keeps its
+    /// last value).
+    pub fn object(fields: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// Wraps a `u64` losslessly (e.g. a 64-bit chain seed).
     pub fn from_u64(n: u64) -> Value {
         Value::Integer(n as i128)

@@ -29,17 +29,7 @@
 use crate::minijson::Value;
 use mrf::{FaultRecord, SweepObserver, SweepRecord};
 use rsu::CycleReport;
-use std::collections::BTreeMap;
 use std::io;
-
-/// Builds a JSON object value from string/value pairs.
-fn object(fields: Vec<(&str, Value)>) -> Value {
-    let mut map = BTreeMap::new();
-    for (key, value) in fields {
-        map.insert(key.to_string(), value);
-    }
-    Value::Object(map)
-}
 
 fn num(n: f64) -> Value {
     Value::Number(n)
@@ -105,7 +95,7 @@ impl<W: io::Write> JsonlTraceWriter<W> {
         iterations_to_within: &[Option<usize>],
     ) {
         let opt = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
-        let record = object(vec![
+        let record = Value::object(vec![
             ("kind", string("summary")),
             ("config", string(config)),
             ("ess", Value::Array(ess.iter().map(|e| opt(*e)).collect())),
@@ -128,7 +118,7 @@ impl<W: io::Write> JsonlTraceWriter<W> {
     /// one design run, including the energy-FIFO occupancy and the
     /// temperature-update stall cycles.
     pub fn write_rsu_pipeline(&mut self, design: &str, labels: u32, report: &CycleReport) {
-        let record = object(vec![
+        let record = Value::object(vec![
             ("kind", string("rsu_pipeline")),
             ("design", string(design)),
             ("labels", num(labels as f64)),
@@ -154,7 +144,7 @@ impl<W: io::Write> JsonlTraceWriter<W> {
     pub fn write_design_point(&mut self, fields: Vec<(&str, Value)>) {
         let mut all = vec![("kind", string("design_point"))];
         all.extend(fields);
-        self.write_value(&object(all));
+        self.write_value(&Value::object(all));
     }
 
     /// Emits an arbitrary pre-built record as one JSONL line. Callers in
@@ -178,7 +168,7 @@ impl<W: io::Write> JsonlTraceWriter<W> {
 
 impl<W: io::Write> SweepObserver for JsonlTraceWriter<W> {
     fn on_sweep(&mut self, record: &SweepRecord) {
-        let line = object(vec![
+        let line = Value::object(vec![
             ("kind", string("sweep")),
             ("chain", string(&self.chain)),
             ("iteration", num(record.iteration as f64)),
@@ -191,7 +181,7 @@ impl<W: io::Write> SweepObserver for JsonlTraceWriter<W> {
     }
 
     fn on_fault(&mut self, record: &FaultRecord) {
-        let line = object(vec![
+        let line = Value::object(vec![
             ("kind", string("fault")),
             ("chain", string(&self.chain)),
             ("iteration", num(record.iteration as f64)),

@@ -17,7 +17,7 @@
 //! setting the flipped site and its neighbours in the next mask;
 //! [`advance`](ActiveSet::advance) swaps the masks at the sweep
 //! boundary. A site outside the current mask is skipped entirely — it
-//! keeps its label and, on the sequential path, consumes no randomness.
+//! keeps its label and consumes no randomness.
 //!
 //! Skipping sites changes the Markov chain: a skipped site does not
 //! re-draw from its unchanged conditional, so its thermal fluctuations
@@ -25,17 +25,19 @@
 //! rate, worklist size and energy fall together until the field
 //! freezes. Active scheduling is therefore an **optimization-mode**
 //! accelerator (annealing / MAP search), not an equilibrium sampler,
-//! and it is **opt-in** ([`SweepSolver::active_sites`]). The
+//! and it is **opt-in**
+//! ([`ParallelSweepSolver::active_sites`], on the checkerboard engine
+//! only). The
 //! `numeric_equivalence` suite gates its annealed solution quality
 //! against the full-sweep oracle (bounded mean-energy degradation, not
 //! distributional equivalence — see DESIGN §12). What it preserves
 //! exactly is determinism: flips are a deterministic function of the
 //! chain, so the visited-site sequence is too — bit-identical across
-//! thread counts in the parallel engine (whose per-site RNG streams
-//! are counter-based) and across checkpoint/resume (the mask is
-//! serialized in the checkpoint).
+//! thread counts (the engine's per-site RNG streams are counter-based)
+//! and across checkpoint/resume (the mask is serialized in the
+//! checkpoint).
 //!
-//! [`SweepSolver::active_sites`]: crate::SweepSolver::active_sites
+//! [`ParallelSweepSolver::active_sites`]: crate::ParallelSweepSolver::active_sites
 
 use crate::grid::Grid;
 

@@ -31,9 +31,8 @@
 //!
 //! # File format
 //!
-//! The vendored `serde` facade is marker-traits-only (no serializer
-//! backend ships in-tree), so checkpoints use a self-contained,
-//! versioned, line-oriented text format instead. Every `f64` is
+//! Checkpoints use a self-contained, versioned, line-oriented text
+//! format (the workspace has no serialization dependency). Every `f64` is
 //! round-tripped through [`f64::to_bits`] as 16 hex digits — decimal
 //! formatting would lose the low mantissa bits and break the
 //! bit-identity contract. Writes go to a sibling temporary file which
@@ -59,7 +58,7 @@
 //!
 //! The `active` line is optional and carries the active-site worklist
 //! of a run using active-site scheduling
-//! ([`SweepSolver::active_sites`](crate::SweepSolver::active_sites)):
+//! ([`ParallelSweepSolver::active_sites`](crate::ParallelSweepSolver::active_sites)):
 //! the row-major visit mask of the *next* sweep. Checkpoints without
 //! the line (all pre-existing ones) parse exactly as before.
 
@@ -157,8 +156,9 @@ pub struct ResumeState {
     pub energy_history: Vec<f64>,
     /// Active-site visit mask for the first resumed sweep, when the
     /// interrupted run used active-site scheduling. `None` resumes
-    /// with full sweeps (or, if the solver enables active scheduling,
-    /// a conservative all-active worklist).
+    /// with full sweeps (or, if the checkerboard solver enables active
+    /// scheduling, a conservative all-active worklist). The raster
+    /// solver runs full sweeps and ignores it.
     pub active_sites: Option<Vec<bool>>,
 }
 

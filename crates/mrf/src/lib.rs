@@ -23,7 +23,12 @@
 //!   implementations live in the `rsu` crate.
 //! * [`Schedule`] — simulated-annealing temperature schedules.
 //! * [`solve`] / [`SweepSolver`] — the outer MCMC loop with energy
-//!   tracking and convergence detection.
+//!   tracking: exact f64, full sweeps in raster order, the
+//!   bit-reproducible reference chain.
+//! * [`ParallelSweepSolver`] — checkerboard sweeps with counter-based
+//!   per-site streams, identical at every thread count; the only engine
+//!   with the f32 kernel ([`NumericPolicy::Fast`]) and active-site
+//!   scheduling ([`ActiveSet`]).
 //! * [`SweepObserver`] / [`EnergyTrace`] — zero-overhead-when-off sweep
 //!   tracing plus convergence diagnostics (autocorrelation ESS,
 //!   Gelman–Rubin PSRF, iterations-to-within-ε), honoured identically by
@@ -79,8 +84,8 @@ pub use metropolis::MetropolisSampler;
 pub use model::{Label, MrfModel, TabularMrf};
 pub use parallel::ParallelSweepSolver;
 pub use solver::{
-    solve, total_energy, IcmSampler, NumericPolicy, ScanOrder, SiteSampler, SoftwareGibbs,
-    SolveReport, SweepSolver,
+    solve, total_energy, IcmSampler, NumericPolicy, SiteSampler, SoftwareGibbs, SolveReport,
+    SweepSolver,
 };
 pub use trace::{
     effective_sample_size, potential_scale_reduction, EnergyTrace, FanOut, FaultRecord,

@@ -39,12 +39,23 @@
 //! flip contributes the exact delta `energies[new] − energies[old]`
 //! (the local conditional energies already computed for the sampler).
 //!
+//! # The fast paths
+//!
+//! This is the only engine with the f32 site kernel
+//! ([`NumericPolicy::Fast`]) and active-site scheduling
+//! ([`ActiveSet`]); both are gated statistically against its own exact
+//! full-sweep configuration, and both keep the determinism contract
+//! above. At one thread it is the single-core fast path the drivers
+//! run. The raster [`SweepSolver`](crate::SweepSolver) stays exact,
+//! full-sweep and raster-order: the bit-reproducible reference chain.
+//!
 //! # Building blocks
 //!
 //! The phase engine is public so other crates can drive their own
 //! shard-mapped sweeps: the `rsu` crate's `RsuArray` maps its sampling
 //! units onto row bands ([`band_rows`]) and executes each phase with
-//! [`checkerboard_phase`], wrapping each unit in a [`BandWorker`].
+//! [`checkerboard_phase`] (exact numerics, full sweeps), wrapping each
+//! unit in a [`BandWorker`].
 
 use crate::active::ActiveSet;
 use crate::annealing::Schedule;
@@ -106,8 +117,7 @@ impl<S> BandWorker<S> {
     }
 
     /// Global site indices that flipped in the band during the last
-    /// [`checkerboard_phase_scheduled`] call with flip recording on
-    /// (i.e. with an active set). Empty otherwise.
+    /// [`checkerboard_phase`] call with an active set. Empty otherwise.
     pub fn flipped(&self) -> &[usize] {
         &self.flipped
     }
@@ -143,57 +153,19 @@ struct BandTask<'a, S> {
 /// draws from `SiteRng::for_site(seed, iteration, site)`, making the
 /// result a pure function of the arguments — never of `threads`.
 ///
-/// # Panics
-///
-/// Panics if `workers` is empty or the field/model shapes disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn checkerboard_phase<M, S>(
-    model: &M,
-    field: &mut LabelField,
-    snapshot: &mut LabelField,
-    workers: &mut [BandWorker<S>],
-    threads: usize,
-    phase: usize,
-    temperature: f64,
-    iteration: u64,
-    seed: u64,
-) -> PhaseReport
-where
-    M: MrfModel + Sync,
-    S: SiteSampler + Send,
-{
-    checkerboard_phase_scheduled(
-        model,
-        field,
-        snapshot,
-        workers,
-        threads,
-        phase,
-        temperature,
-        iteration,
-        seed,
-        NumericPolicy::Exact,
-        None,
-    )
-}
-
-/// [`checkerboard_phase`] with the full scheduling surface: a
-/// [`NumericPolicy`] selecting the f64 or f32 site kernel, and an
-/// optional [`ActiveSet`] restricting the phase to its current mask.
-///
-/// With `active` supplied, each worker also records the global indices
-/// of its flipped sites (readable via [`BandWorker::flipped`] until the
-/// next scheduled call) so the driver can feed the worklist; sites
-/// outside the mask keep their labels and consume no randomness.
-/// `Exact` with `active = None` is bit-identical to the plain phase
-/// function.
+/// `numeric` selects the f64 or f32 site kernel. With an [`ActiveSet`]
+/// supplied, the phase visits only the sites of its current mask, and
+/// each worker records the global indices of its flipped sites
+/// (readable via [`BandWorker::flipped`] until the next call) so the
+/// driver can feed the worklist; sites outside the mask keep their
+/// labels and consume no randomness.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is empty, the field/model shapes disagree, or
 /// `active` tracks a different number of sites than the grid holds.
 #[allow(clippy::too_many_arguments)]
-pub fn checkerboard_phase_scheduled<M, S>(
+pub fn checkerboard_phase<M, S>(
     model: &M,
     field: &mut LabelField,
     snapshot: &mut LabelField,
@@ -384,7 +356,8 @@ fn sweep_band<M, S>(
 /// its randomness: instead of threading a sequential generator through
 /// the sweep, every site update derives an independent
 /// [`SiteRng`] stream from `(seed, iteration, site)`. See the module
-/// documentation for the determinism contract.
+/// documentation for the determinism contract and the fast paths
+/// ([`numeric`](Self::numeric), [`active_sites`](Self::active_sites)).
 ///
 /// # Example
 ///
@@ -414,7 +387,6 @@ pub struct ParallelSweepSolver<'m, M> {
     iterations: usize,
     threads: usize,
     seed: u64,
-    early_stop: Option<(usize, f64)>,
     resume: Option<ResumeState>,
     numeric: NumericPolicy,
     active: bool,
@@ -422,7 +394,7 @@ pub struct ParallelSweepSolver<'m, M> {
 
 impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
     /// Creates a solver with defaults: constant temperature 1.0, 100
-    /// iterations, 1 thread, seed 0, no early stopping.
+    /// iterations, 1 thread, seed 0, exact numerics, full sweeps.
     pub fn new(model: &'m M) -> Self {
         ParallelSweepSolver {
             model,
@@ -430,7 +402,6 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
             iterations: 100,
             threads: 1,
             seed: 0,
-            early_stop: None,
             resume: None,
             numeric: NumericPolicy::Exact,
             active: false,
@@ -467,9 +438,11 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
     /// Selects the numeric policy for the site kernel.
     ///
     /// [`NumericPolicy::Exact`] (the default) keeps the historical f64
-    /// path bit-for-bit. [`NumericPolicy::Fast`] runs the f32 kernel —
-    /// see [`SweepSolver::numeric`](crate::SweepSolver::numeric) for the
-    /// statistical-equivalence contract; the thread-count determinism
+    /// path bit-for-bit. [`NumericPolicy::Fast`] runs the f32 kernel
+    /// (see the enum docs for the statistical-equivalence contract).
+    /// Under `Fast` the incremental energy accumulates f32-derived
+    /// deltas in f64, so the reported energies track the oracle
+    /// statistically, not bit-exactly. The thread-count determinism
     /// guarantee holds for both policies.
     pub fn numeric(mut self, numeric: NumericPolicy) -> Self {
         self.numeric = numeric;
@@ -479,27 +452,20 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
     /// Enables active-site sweep scheduling.
     ///
     /// Each iteration visits only sites that flipped — or neighbour a
-    /// flip — during the previous iteration (the first visits all).
-    /// Per-band flip lists are merged in band order into one worklist,
-    /// and site RNG streams are counter-based, so the result stays
-    /// bit-identical across thread counts; see
-    /// [`SweepSolver::active_sites`](crate::SweepSolver::active_sites)
-    /// for the chain-equivalence caveat.
+    /// flip — during the previous iteration (the first visits all; see
+    /// [`ActiveSet`]). Late annealing sweeps then skip converged regions
+    /// entirely. Per-band flip lists are merged in band order into one
+    /// worklist, and site RNG streams are counter-based, so the result
+    /// stays bit-identical across thread counts.
+    ///
+    /// Skipped sites keep their labels and consume no randomness, which
+    /// suppresses their thermal re-draws: this is an optimization-mode
+    /// accelerator whose annealed solution quality is gated against the
+    /// full-sweep oracle (DESIGN §12), not an equilibrium-preserving
+    /// transformation. A resumed run restores the worklist recorded in
+    /// [`ResumeState::active_sites`].
     pub fn active_sites(mut self, active: bool) -> Self {
         self.active = active;
-        self
-    }
-
-    /// Stops early once the relative energy change across a trailing
-    /// `window` of iterations falls below `tolerance`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `tolerance` is negative.
-    pub fn stop_when_converged(mut self, window: usize, tolerance: f64) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
-        self.early_stop = Some((window, tolerance));
         self
     }
 
@@ -614,7 +580,7 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
             }
             let visited = active.as_ref().map(|set| set.active_count());
             for phase in 0..2 {
-                let outcome = checkerboard_phase_scheduled(
+                let outcome = checkerboard_phase(
                     self.model,
                     field,
                     &mut snapshot,
@@ -663,11 +629,6 @@ impl<'m, M: MrfModel + Sync> ParallelSweepSolver<'m, M> {
             report.energy_history.push(energy);
             report.final_temperature = temperature;
             report.iterations_run = iter + 1;
-            if let Some((window, tol)) = self.early_stop {
-                if crate::solver::has_converged(&report.energy_history, window, tol) {
-                    break;
-                }
-            }
         }
         report.active_sites = active.map(|set| set.mask().to_vec());
         report
@@ -740,22 +701,6 @@ mod tests {
         assert!(
             (full - incremental).abs() <= 1e-9 * full.abs().max(1.0),
             "{incremental} drifted from {full}"
-        );
-    }
-
-    #[test]
-    fn early_stopping_truncates_iterations() {
-        let model = test_model();
-        let mut field = LabelField::constant(model.grid(), 3, 0);
-        let report = ParallelSweepSolver::new(&model)
-            .iterations(500)
-            .threads(2)
-            .seed(5)
-            .stop_when_converged(5, 1e-3)
-            .run(&mut field, &crate::solver::IcmSampler::new());
-        assert!(
-            report.iterations_run < 500,
-            "ICM should converge and stop early"
         );
     }
 

@@ -6,19 +6,17 @@
 //! implementation, the previous RSU-G and the new RSU-G all run the exact
 //! same application code.
 
-use crate::active::ActiveSet;
 use crate::annealing::Schedule;
 use crate::checkpoint::ResumeState;
 use crate::field::LabelField;
 use crate::model::{Label, MrfModel};
 use crate::trace::{NoopObserver, SweepObserver, SweepRecord};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use sampling::Categorical;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Numeric precision policy of a sweep engine's inner loop.
+/// Numeric precision policy of the checkerboard engine's inner loop
+/// ([`ParallelSweepSolver::numeric`](crate::ParallelSweepSolver::numeric)).
 ///
 /// `Exact` (the default) runs the f64 kernel and is bit-identical to
 /// every pre-existing result — it is the exactness oracle all other
@@ -31,7 +29,7 @@ use std::time::{Duration, Instant};
 /// marginals, final-energy distributions) rather than bit equality —
 /// the same "less exact arithmetic, faster" bet the paper's RSU-G
 /// makes with quantized optical sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NumericPolicy {
     /// f64 kernel, bit-identical to the historical solver output.
     #[default]
@@ -277,28 +275,16 @@ impl SiteSampler for IcmSampler {
     }
 }
 
-/// Site visit order within one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScanOrder {
-    /// Row-major order, the order the RSU-G pipeline streams pixels in.
-    Raster,
-    /// All even-parity sites then all odd-parity sites; with a 4-
-    /// neighbourhood the sites within each phase are conditionally
-    /// independent (usable for parallel sweeps).
-    Checkerboard,
-    /// A fresh uniform random permutation each iteration.
-    RandomPermutation,
-}
-
-/// Outcome of a [`SweepSolver`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Outcome of a [`SweepSolver`] or
+/// [`ParallelSweepSolver`](crate::ParallelSweepSolver) run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// Total field energy after each completed iteration.
     pub energy_history: Vec<f64>,
     /// Temperature used in the final iteration.
     pub final_temperature: f64,
-    /// Iterations actually executed (may be fewer than requested when
-    /// early stopping triggers).
+    /// Iterations of the chain completed so far (the restored prefix of
+    /// a resumed run included).
     pub iterations_run: usize,
     /// Total number of site updates that changed a label.
     pub labels_changed: u64,
@@ -333,35 +319,32 @@ pub fn total_energy<M: MrfModel>(model: &M, field: &LabelField) -> f64 {
     e
 }
 
-/// Builder-style MCMC solver: configures schedule, iteration budget, scan
-/// order and optional convergence-based early stopping, then runs sweeps
-/// over a [`LabelField`] with any [`SiteSampler`].
+/// The exact, full-sweep, raster-order MCMC engine: configures the
+/// schedule and iteration budget, then runs sweeps over a
+/// [`LabelField`] with any [`SiteSampler`], drawing from one sequential
+/// generator.
+///
+/// This is the bit-reproducible f64 reference chain of every figure.
+/// The f32 kernel and active-site scheduling live only on the
+/// checkerboard engine ([`ParallelSweepSolver`](crate::ParallelSweepSolver)),
+/// whose per-site streams are what their determinism contracts cover.
 #[derive(Debug, Clone)]
 pub struct SweepSolver<'m, M> {
     model: &'m M,
     schedule: Schedule,
     iterations: usize,
-    scan: ScanOrder,
-    early_stop: Option<(usize, f64)>,
     resume: Option<ResumeState>,
-    numeric: NumericPolicy,
-    active: bool,
 }
 
 impl<'m, M: MrfModel> SweepSolver<'m, M> {
     /// Creates a solver with defaults: constant temperature 1.0, 100
-    /// iterations, raster scan, no early stopping, exact numerics,
-    /// full sweeps.
+    /// iterations.
     pub fn new(model: &'m M) -> Self {
         SweepSolver {
             model,
             schedule: Schedule::constant(1.0),
             iterations: 100,
-            scan: ScanOrder::Raster,
-            early_stop: None,
             resume: None,
-            numeric: NumericPolicy::Exact,
-            active: false,
         }
     }
 
@@ -374,53 +357,6 @@ impl<'m, M: MrfModel> SweepSolver<'m, M> {
     /// Sets the iteration budget.
     pub fn iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations;
-        self
-    }
-
-    /// Sets the site visit order.
-    pub fn scan_order(mut self, scan: ScanOrder) -> Self {
-        self.scan = scan;
-        self
-    }
-
-    /// Sets the numeric policy of the inner loop. The default
-    /// [`NumericPolicy::Exact`] is bit-identical to the historical
-    /// solver; [`NumericPolicy::Fast`] runs the f32 kernel (see the
-    /// enum docs for the equivalence contract). Under `Fast`, the
-    /// incremental energy accumulates f32-derived deltas in f64, so
-    /// the reported energies track the oracle statistically, not
-    /// bit-exactly.
-    pub fn numeric(mut self, numeric: NumericPolicy) -> Self {
-        self.numeric = numeric;
-        self
-    }
-
-    /// Enables active-site scheduling: after the first sweep, a site is
-    /// visited only when it or a lattice neighbour flipped in the
-    /// previous sweep (see [`ActiveSet`](crate::ActiveSet)). Late
-    /// annealing sweeps then skip converged regions entirely. Skipped
-    /// sites keep their labels and consume no randomness, which
-    /// suppresses their thermal re-draws: this is an optimization-mode
-    /// accelerator whose annealed solution quality is gated against the
-    /// full-sweep oracle (DESIGN §12), not an equilibrium-preserving
-    /// transformation — opt-in, and deterministic (the worklist is a
-    /// pure function of the chain). A resumed run restores the worklist
-    /// recorded in [`ResumeState::active_sites`].
-    pub fn active_sites(mut self, enabled: bool) -> Self {
-        self.active = enabled;
-        self
-    }
-
-    /// Stops early once the relative energy change across a trailing
-    /// `window` of iterations falls below `tolerance`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `tolerance` is negative.
-    pub fn stop_when_converged(mut self, window: usize, tolerance: f64) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
-        self.early_stop = Some((window, tolerance));
         self
     }
 
@@ -481,29 +417,8 @@ impl<'m, M: MrfModel> SweepSolver<'m, M> {
             "label count mismatch"
         );
         let grid = self.model.grid();
-        let mut order: Vec<usize> = grid.sites().collect();
-        if self.scan == ScanOrder::Checkerboard {
-            order.sort_by_key(|&s| {
-                let (x, y) = grid.coords(s);
-                (x + y) % 2
-            });
-        }
         let mut energies = Vec::with_capacity(self.model.num_labels());
-        let mut energies_f32 = Vec::with_capacity(self.model.num_labels());
         let start = self.resume.as_ref().map_or(0, |r| r.start_iteration);
-        // Active-site scheduling: a resumed run restores the exact
-        // worklist the interrupted run would have used, otherwise every
-        // site starts active (the first sweep must visit everything).
-        let mut active =
-            self.active.then(
-                || match self.resume.as_ref().and_then(|r| r.active_sites.clone()) {
-                    Some(mask) => {
-                        assert_eq!(mask.len(), grid.len(), "active mask length mismatch");
-                        ActiveSet::from_mask(mask)
-                    }
-                    None => ActiveSet::all_active(grid.len()),
-                },
-            );
         let mut report = SolveReport {
             energy_history: match &self.resume {
                 Some(r) => {
@@ -537,68 +452,18 @@ impl<'m, M: MrfModel> SweepSolver<'m, M> {
             let flips_before = report.labels_changed;
             let temperature = self.schedule.temperature(iter);
             sampler.begin_iteration(temperature);
-            if self.scan == ScanOrder::RandomPermutation {
-                order.shuffle(rng);
-            }
-            let mut visited = 0u64;
-            for &site in &order {
-                if let Some(set) = &active {
-                    if !set.is_active(site) {
-                        continue;
-                    }
-                    visited += 1;
-                }
+            for site in grid.sites() {
                 let current = field.get(site);
-                // Exact keeps the historical f64 loop untouched (bit
-                // identity); Fast runs the f32 kernel and accumulates
-                // its deltas into the f64 energy.
-                let (new, delta) = match self.numeric {
-                    NumericPolicy::Exact => {
-                        self.model.local_energies(site, field, &mut energies);
-                        let new = sampler.sample_label(&energies, temperature, current, rng);
-                        let delta = if new != current {
-                            energies[new as usize] - energies[current as usize]
-                        } else {
-                            0.0
-                        };
-                        (new, delta)
-                    }
-                    NumericPolicy::Fast => {
-                        let e_min = self
-                            .model
-                            .local_energies_f32(site, field, &mut energies_f32);
-                        let new = sampler.sample_label_f32(
-                            &energies_f32,
-                            e_min,
-                            temperature,
-                            current,
-                            rng,
-                        );
-                        let delta = if new != current {
-                            (energies_f32[new as usize] - energies_f32[current as usize]) as f64
-                        } else {
-                            0.0
-                        };
-                        (new, delta)
-                    }
-                };
+                self.model.local_energies(site, field, &mut energies);
+                let new = sampler.sample_label(&energies, temperature, current, rng);
                 if new != current {
                     report.labels_changed += 1;
-                    energy += delta;
+                    energy += energies[new as usize] - energies[current as usize];
                     field.set(site, new);
-                    if let Some(set) = &mut active {
-                        set.mark_flip(&grid, site);
-                    }
                     if want_sites {
                         observer.on_site_update(iter, site, current, new);
                     }
                 }
-            }
-            if let Some(set) = &mut active {
-                if observing {
-                    observer.on_active_sweep(iter, visited, grid.len() as u64 - visited);
-                }
-                set.advance();
             }
             if observing {
                 observer.on_sweep(&SweepRecord {
@@ -612,28 +477,9 @@ impl<'m, M: MrfModel> SweepSolver<'m, M> {
             report.energy_history.push(energy);
             report.final_temperature = temperature;
             report.iterations_run = iter + 1;
-            if let Some((window, tol)) = self.early_stop {
-                if has_converged(&report.energy_history, window, tol) {
-                    break;
-                }
-            }
         }
-        report.active_sites = active.map(|set| set.mask().to_vec());
         report
     }
-}
-
-/// Whether the trailing `window` of an energy history has a relative
-/// spread below `tolerance`.
-pub(crate) fn has_converged(history: &[f64], window: usize, tolerance: f64) -> bool {
-    if history.len() < window + 1 {
-        return false;
-    }
-    let tail = &history[history.len() - window - 1..];
-    let lo = tail.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = tail.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let scale = hi.abs().max(lo.abs()).max(1e-12);
-    (hi - lo) / scale <= tolerance
 }
 
 /// Convenience wrapper: runs [`SweepSolver`] with the given schedule and
@@ -727,48 +573,6 @@ mod tests {
             last < 0.5 * first,
             "energy did not anneal down: {first} -> {last}"
         );
-    }
-
-    #[test]
-    fn early_stopping_truncates_iterations() {
-        let model = test_model();
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let mut field = LabelField::random(model.grid(), 3, &mut rng);
-        let mut icm = IcmSampler::new();
-        let report = SweepSolver::new(&model)
-            .iterations(500)
-            .stop_when_converged(3, 0.0)
-            .run(&mut field, &mut icm, &mut rng);
-        assert!(
-            report.iterations_run < 500,
-            "ICM should converge and stop early"
-        );
-    }
-
-    #[test]
-    fn scan_orders_all_reach_low_energy() {
-        let model = test_model();
-        for scan in [
-            ScanOrder::Raster,
-            ScanOrder::Checkerboard,
-            ScanOrder::RandomPermutation,
-        ] {
-            let mut rng = Xoshiro256pp::seed_from_u64(21);
-            let mut field = LabelField::random(model.grid(), 3, &mut rng);
-            let mut gibbs = SoftwareGibbs::new();
-            let report = SweepSolver::new(&model)
-                .schedule(Schedule::geometric(3.0, 0.88, 0.05))
-                .iterations(100)
-                .scan_order(scan)
-                .run(&mut field, &mut gibbs, &mut rng);
-            let truth = TabularMrf::checkerboard_truth(8, 8, 3);
-            assert!(
-                field.disagreement(&truth) < 0.10,
-                "{scan:?}: disagreement {}",
-                field.disagreement(&truth)
-            );
-            assert!(report.iterations_run == 100);
-        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The paper's central claim is about *result quality over iterations*
 //! (Figs. 8/9 compare software vs RSU-G energy and %-bad-pixel
 //! trajectories), so the solvers expose a zero-overhead-when-off
-//! observation hook: every sweep engine — [`SweepSolver`],
-//! [`ParallelSweepSolver`] and the `rsu` crate's `RsuArray` sweeps —
-//! accepts a [`SweepObserver`] through a `*_observed` entry point, while
-//! the historical entry points delegate with [`NoopObserver`] and stay
-//! bit-identical to their pre-observability behaviour.
+//! observation hook: every sweep engine — the raster [`SweepSolver`],
+//! the checkerboard [`ParallelSweepSolver`] and the `rsu` crate's
+//! band-mapped `RsuArray::sweep_parallel` — accepts a [`SweepObserver`]
+//! through a `*_observed` entry point, while the plain entry points
+//! delegate with [`NoopObserver`] and stay bit-identical to their
+//! pre-observability behaviour.
 //!
 //! # The observer determinism contract
 //!
@@ -31,8 +32,7 @@
 //!   the updated field in raster order
 //!   ([`replay_phase_site_updates`]), not by the racing workers, so
 //!   update events arrive in the same order at any thread count. The
-//!   sequential engine emits them inline, which is the same raster
-//!   order.
+//!   raster engine emits them inline, which is the same raster order.
 //!
 //! Only wall-clock `elapsed` differs between runs; diagnostics never
 //! depend on it.
@@ -117,8 +117,8 @@ pub trait SweepObserver {
     }
 
     /// Called for every accepted label change, in raster order within a
-    /// sweep (sequential engines) or within each checkerboard phase
-    /// (parallel engines).
+    /// sweep (the raster engine) or within each checkerboard phase (the
+    /// checkerboard and array engines).
     fn on_site_update(&mut self, iteration: usize, site: usize, old: Label, new: Label) {
         let _ = (iteration, site, old, new);
     }
@@ -129,7 +129,7 @@ pub trait SweepObserver {
         let _ = record;
     }
 
-    /// Called once per sweep by engines running active-site scheduling
+    /// Called once per sweep by an engine running active-site scheduling
     /// (before the worklist advances): how many sites the sweep
     /// visited and how many converged sites it skipped. Deterministic
     /// like every other hook — the worklist is a pure function of the

@@ -1,12 +1,13 @@
 //! Integration tests for active-site sweep scheduling: the worklist
 //! semantics (a sweep visits exactly the sites the previous sweep
-//! flipped or neighboured), the solver-level wiring of those semantics,
-//! and the determinism contract — bit-identical fields across thread
-//! counts with scheduling enabled.
+//! flipped or neighboured), the solver-level wiring of those semantics
+//! on the checkerboard engine (the only engine that schedules), and the
+//! determinism contract — bit-identical fields across thread counts
+//! with scheduling enabled.
 
 use mrf::{
     ActiveSet, DistanceFn, Grid, LabelField, MrfModel, NumericPolicy, ParallelSweepSolver,
-    Schedule, SoftwareGibbs, SweepObserver, SweepSolver, TabularMrf,
+    Schedule, SoftwareGibbs, SweepObserver, TabularMrf,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -72,8 +73,8 @@ impl SweepObserver for ActiveAudit {
 /// visited count the engine reports equals the size of the
 /// flipped-or-neighboured set of the *previous* sweep, reconstructed
 /// from the observer's flip stream — and visited + skipped always
-/// covers the grid. Checked on both engines (the parallel one at a
-/// thread count that forces multi-band merging).
+/// covers the grid. Run at a thread count that forces multi-band
+/// merging.
 #[test]
 fn solver_visited_counts_match_brute_force_worklist() {
     let model = TabularMrf::checkerboard(10, 9, 3, 4.0, DistanceFn::Binary, 0.4);
@@ -81,52 +82,36 @@ fn solver_visited_counts_match_brute_force_worklist() {
     let schedule = Schedule::geometric(2.5, 0.85, 0.1);
     let iterations = 25;
 
-    let sequential = {
-        let mut audit = ActiveAudit::default();
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let mut field = LabelField::random(grid, model.num_labels(), &mut rng);
-        SweepSolver::new(&model)
-            .schedule(schedule)
-            .iterations(iterations)
-            .active_sites(true)
-            .run_observed(&mut field, &mut SoftwareGibbs::new(), &mut rng, &mut audit);
-        audit
-    };
-    let parallel = {
-        let mut audit = ActiveAudit::default();
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let mut field = LabelField::random(grid, model.num_labels(), &mut rng);
-        ParallelSweepSolver::new(&model)
-            .schedule(schedule)
-            .iterations(iterations)
-            .threads(3)
-            .seed(11)
-            .active_sites(true)
-            .run_observed(&mut field, &SoftwareGibbs::new(), &mut audit);
-        audit
-    };
+    let mut audit = ActiveAudit::default();
+    let mut rng = Xoshiro256pp::seed_from_u64(11);
+    let mut field = LabelField::random(grid, model.num_labels(), &mut rng);
+    ParallelSweepSolver::new(&model)
+        .schedule(schedule)
+        .iterations(iterations)
+        .threads(3)
+        .seed(11)
+        .active_sites(true)
+        .run_observed(&mut field, &SoftwareGibbs::new(), &mut audit);
 
-    for (engine, audit) in [("sequential", sequential), ("parallel", parallel)] {
-        assert_eq!(audit.active.len(), iterations, "{engine}");
-        assert_eq!(audit.active[0], (0, grid.len() as u64, 0), "{engine}");
-        for window in audit.active.windows(2) {
-            let (prev_iter, _, _) = window[0];
-            let (iter, visited, skipped) = window[1];
-            assert_eq!(iter, prev_iter + 1, "{engine}");
-            assert_eq!(visited + skipped, grid.len() as u64, "{engine} iter {iter}");
-            let mut expect = vec![false; grid.len()];
-            for &site in audit.flips.get(prev_iter).map_or(&[][..], |v| v) {
-                expect[site] = true;
-                for n in grid.neighbors(site) {
-                    expect[n] = true;
-                }
+    assert_eq!(audit.active.len(), iterations);
+    assert_eq!(audit.active[0], (0, grid.len() as u64, 0));
+    for window in audit.active.windows(2) {
+        let (prev_iter, _, _) = window[0];
+        let (iter, visited, skipped) = window[1];
+        assert_eq!(iter, prev_iter + 1);
+        assert_eq!(visited + skipped, grid.len() as u64, "iter {iter}");
+        let mut expect = vec![false; grid.len()];
+        for &site in audit.flips.get(prev_iter).map_or(&[][..], |v| v) {
+            expect[site] = true;
+            for n in grid.neighbors(site) {
+                expect[n] = true;
             }
-            let count = expect.iter().filter(|&&b| b).count() as u64;
-            assert_eq!(
-                visited, count,
-                "{engine} iter {iter}: engine visited {visited}, worklist rule says {count}"
-            );
         }
+        let count = expect.iter().filter(|&&b| b).count() as u64;
+        assert_eq!(
+            visited, count,
+            "iter {iter}: engine visited {visited}, worklist rule says {count}"
+        );
     }
 }
 
@@ -179,9 +164,10 @@ fn inactive_runs_report_no_worklist() {
     let model = TabularMrf::checkerboard(6, 6, 3, 4.0, DistanceFn::Binary, 0.4);
     let mut rng = Xoshiro256pp::seed_from_u64(9);
     let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-    let report =
-        SweepSolver::new(&model)
-            .iterations(5)
-            .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
+    let report = ParallelSweepSolver::new(&model)
+        .iterations(5)
+        .threads(2)
+        .seed(9)
+        .run(&mut field, &SoftwareGibbs::new());
     assert_eq!(report.active_sites, None);
 }

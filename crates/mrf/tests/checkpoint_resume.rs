@@ -208,88 +208,12 @@ fn resumed_incremental_energy_matches_full_recomputation() {
     );
 }
 
-/// Kill an *active-scheduled* sequential run at a sweep boundary, round
-/// trip the checkpoint (including the serialized worklist) through
-/// text, resume: field, energy history and RNG consumption all match
-/// the uninterrupted active chain exactly. Without the worklist the
-/// resumed chain would restart from an all-active sweep and diverge —
-/// this is the test that forces the checkpoint format to carry it.
-#[test]
-fn sequential_active_kill_and_resume_matches_uninterrupted() {
-    let model = model();
-    let total = 40;
-    for k in [1, 17, 39] {
-        let mut ref_rng = Xoshiro256pp::seed_from_u64(SEED);
-        let mut ref_field = LabelField::random(model.grid(), model.num_labels(), &mut ref_rng);
-        let ref_report = SweepSolver::new(&model)
-            .schedule(schedule())
-            .iterations(total)
-            .active_sites(true)
-            .run(&mut ref_field, &mut SoftwareGibbs::new(), &mut ref_rng);
-
-        let mut rng = Xoshiro256pp::seed_from_u64(SEED);
-        let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-        let partial = SweepSolver::new(&model)
-            .schedule(schedule())
-            .iterations(k)
-            .active_sites(true)
-            .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
-        let checkpoint = Checkpoint::capture(
-            "sweep",
-            &field,
-            k,
-            partial.final_energy(),
-            partial.labels_changed,
-            partial.energy_history.clone(),
-        )
-        .with_seed(SEED)
-        .with_rng_state(rng.state())
-        .with_active_sites(
-            partial
-                .active_sites
-                .clone()
-                .expect("active run reports its worklist"),
-        );
-        drop((field, rng, partial));
-
-        let restored = Checkpoint::from_text(&checkpoint.to_text()).unwrap();
-        let mut resumed_field = restored.restore_field();
-        let mut resumed_rng = Xoshiro256pp::from_state(restored.rng_state.unwrap());
-        let resumed_report = SweepSolver::new(&model)
-            .schedule(schedule())
-            .iterations(total)
-            .active_sites(true)
-            .resume(restored.resume_state())
-            .run(
-                &mut resumed_field,
-                &mut SoftwareGibbs::new(),
-                &mut resumed_rng,
-            );
-
-        assert_eq!(ref_field, resumed_field, "kill at {k}");
-        let bits = |r: &mrf::SolveReport| {
-            r.energy_history
-                .iter()
-                .map(|e| e.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&ref_report), bits(&resumed_report), "kill at {k}");
-        assert_eq!(
-            ref_report.active_sites, resumed_report.active_sites,
-            "kill at {k}: final worklist"
-        );
-        assert_eq!(
-            ref_rng.state(),
-            resumed_rng.state(),
-            "kill at {k}: RNG consumption (skipped sites draw nothing)"
-        );
-    }
-}
-
-/// The parallel version of the active kill/resume contract, crossed
-/// over 1/2/7 thread counts on both sides of the kill: the worklist in
-/// the checkpoint makes resumption bit-identical to the uninterrupted
-/// single-thread active chain.
+/// The active kill/resume contract, crossed over 1/2/7 thread counts on
+/// both sides of the kill: the worklist in the checkpoint makes
+/// resumption bit-identical to the uninterrupted single-thread active
+/// chain. Without the worklist the resumed chain would restart from an
+/// all-active sweep and diverge — this is the test that forces the
+/// checkpoint format to carry it.
 #[test]
 fn parallel_active_kill_and_resume_matches_uninterrupted_across_thread_counts() {
     let model = model();

@@ -8,10 +8,16 @@
 //! independent seeds, for all three paper distance functions (squared /
 //! absolute / Potts). If a future "fast" approximation (e.g. a cruder
 //! exponential) biases the sampler, these tests are designed to fail.
+//!
+//! The whole-chain gates run the checkerboard engine
+//! ([`ParallelSweepSolver`] at one thread), the only engine with the
+//! f32 kernel and active-site scheduling and the one the drivers run
+//! for `--numeric fast` / `--active`; its exact configuration is the
+//! oracle.
 
 use mrf::{
     total_energy, DistanceFn, LabelField, MrfModel, NumericPolicy, ParallelSweepSolver, Schedule,
-    SiteSampler, SoftwareGibbs, SweepSolver, TabularMrf,
+    SiteSampler, SoftwareGibbs, TabularMrf,
 };
 use rand::SeedableRng;
 use sampling::Xoshiro256pp;
@@ -104,7 +110,7 @@ fn f32_per_site_conditionals_match_f64_chi_square() {
     }
 }
 
-/// Runs one sequential chain per seed under `schedule` and returns the
+/// Runs one chain per seed under `schedule` and returns the
 /// recomputed energy of each final field — the whole-chain summary
 /// statistic the distribution tests compare. The *recomputed* energy is
 /// the honest statistic: it measures where the chain ended. (The
@@ -119,14 +125,17 @@ fn final_energies(
     let model = TabularMrf::checkerboard(12, 12, 4, 5.0, dist, 0.6);
     (0..50u64)
         .map(|seed| {
-            let mut rng = Xoshiro256pp::seed_from_u64(seed * 7_919 + 1);
+            let chain_seed = seed * 7_919 + 1;
+            let mut rng = Xoshiro256pp::seed_from_u64(chain_seed);
             let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-            SweepSolver::new(&model)
+            ParallelSweepSolver::new(&model)
                 .schedule(schedule)
                 .iterations(30)
+                .threads(1)
+                .seed(chain_seed)
                 .numeric(numeric)
                 .active_sites(active)
-                .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
+                .run(&mut field, &SoftwareGibbs::new());
             total_energy(&model, &field)
         })
         .collect()
@@ -208,11 +217,13 @@ fn fast_incremental_energy_drift_is_bounded() {
         let model = TabularMrf::checkerboard(24, 24, 4, 6.0, dist, 0.8);
         let mut rng = Xoshiro256pp::seed_from_u64(42);
         let mut field = LabelField::random(model.grid(), model.num_labels(), &mut rng);
-        let report = SweepSolver::new(&model)
+        let report = ParallelSweepSolver::new(&model)
             .schedule(Schedule::geometric(4.0, 0.97, 0.05))
             .iterations(100)
+            .threads(1)
+            .seed(42)
             .numeric(NumericPolicy::Fast)
-            .run(&mut field, &mut SoftwareGibbs::new(), &mut rng);
+            .run(&mut field, &SoftwareGibbs::new());
         let full = total_energy(&model, &field);
         let drift = (report.final_energy() - full).abs();
         assert!(

@@ -37,13 +37,16 @@ use retrsu_serve::{
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
+/// The batch job the interactive traffic preempts. Its 400 sweeps (tens
+/// of milliseconds) outlast the client's next submit round trip by
+/// orders of magnitude, so the urgent job arrives while it still runs.
 fn victim_spec() -> JobSpec {
     JobSpec {
         id: "victim-seg".into(),
         tenant: "tenant-batch".into(),
         priority: Priority::Batch,
         seed: 31,
-        iterations: 40,
+        iterations: 400,
         threads: 1,
         kind: JobKind::Segmentation {
             width: 24,
@@ -143,8 +146,21 @@ fn main() {
     let trace_path = dir.join("lifecycle.jsonl");
     let outcome = run_scenario(trace_path.clone(), dir.join("spool"));
 
-    // 1. All jobs completed; the victim really was preempted.
+    // 1. All jobs completed; the urgent job arrived while the victim
+    // still ran, and the victim really was preempted.
     assert_eq!(outcome.results.len(), 3, "all three jobs must complete");
+    let event_index = |job: &str, state: JobState| {
+        outcome
+            .events
+            .iter()
+            .position(|e| e.job == job && e.state == state)
+            .unwrap_or_else(|| panic!("{job} has no {state} event"))
+    };
+    assert!(
+        event_index("urgent-stereo", JobState::Admitted)
+            < event_index("victim-seg", JobState::Completed),
+        "urgent-stereo must be admitted before victim-seg completes"
+    );
     let victim = outcome.result("victim-seg").expect("victim result");
     assert!(
         victim.preemptions >= 1,

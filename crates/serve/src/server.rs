@@ -1112,7 +1112,7 @@ mod tests {
         let order: Vec<&str> = outcome
             .events
             .iter()
-            .filter(|e| e.state == JobState::Completed)
+            .filter(|e| e.state == JobState::Completed && e.job != "gate")
             .map(|e| e.job.as_str())
             .collect();
         assert_eq!(order, ["fg", "bg"]);
@@ -1137,6 +1137,13 @@ mod tests {
             quantum: 2,
             ..ServerConfig::default()
         });
+        // A long interactive gate job from a third tenant occupies the
+        // only worker, so the whole backlog is queued before any of it
+        // can dispatch.
+        handle
+            .submit(&spec("gate", "gate", Priority::Interactive, 400))
+            .unwrap();
+        handle.wait_for("gate", JobState::Started);
         // One hog tenant floods first; a light tenant arrives after.
         for i in 0..3 {
             handle
@@ -1148,13 +1155,27 @@ mod tests {
             .unwrap();
         let outcome = handle.finish();
         validate_lifecycle(&outcome.events).unwrap();
-        assert_eq!(outcome.results.len(), 4);
+        assert_eq!(outcome.results.len(), 5);
+        let position = |job: &str, state: JobState| {
+            outcome
+                .events
+                .iter()
+                .position(|e| e.job == job && e.state == state)
+                .unwrap()
+        };
+        let gate_done = position("gate", JobState::Completed);
+        for job in ["hog-0", "hog-1", "hog-2", "light-0"] {
+            assert!(
+                position(job, JobState::Admitted) < gate_done,
+                "{job} must be admitted while the gate still runs"
+            );
+        }
         // The light tenant must not finish last: fair share pulls it
         // ahead of the hog's backlog once the hog has been served.
         let order: Vec<&str> = outcome
             .events
             .iter()
-            .filter(|e| e.state == JobState::Completed)
+            .filter(|e| e.state == JobState::Completed && e.job != "gate")
             .map(|e| e.job.as_str())
             .collect();
         let light_pos = order.iter().position(|j| *j == "light-0").unwrap();

@@ -14,7 +14,6 @@
 
 use chain::minijson::{self, Value};
 use rsu::RsuConfig;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Scheduling class of a job. `Interactive` jobs may preempt running
@@ -179,7 +178,7 @@ impl JobKind {
                 ("scene_seed", Value::from_u64(*scene_seed)),
             ],
         };
-        object(fields)
+        Value::object(fields)
     }
 }
 
@@ -225,14 +224,6 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-fn object(fields: Vec<(&str, Value)>) -> Value {
-    let mut map = BTreeMap::new();
-    for (key, value) in fields {
-        map.insert(key.to_string(), value);
-    }
-    Value::Object(map)
-}
 
 fn get_str(doc: &Value, key: &str) -> Result<String, SpecError> {
     doc.get(key)
@@ -340,7 +331,7 @@ impl JobSpec {
 
     /// The spec as a minijson document.
     pub fn to_value(&self) -> Value {
-        object(vec![
+        Value::object(vec![
             ("type", Value::String("job_spec".into())),
             ("id", Value::String(self.id.clone())),
             ("tenant", Value::String(self.tenant.clone())),
@@ -371,7 +362,7 @@ impl JobSpec {
     /// The compute-relevant subset of the spec ([`digest`](Self::digest)
     /// hashes this document's canonical serialization).
     pub fn normalized_value(&self) -> Value {
-        object(vec![
+        Value::object(vec![
             ("application", Value::String(self.kind.name().into())),
             ("iterations", Value::from_u64(self.iterations as u64)),
             ("scene", self.kind.scene_value()),
@@ -394,7 +385,7 @@ impl JobSpec {
     /// [`MrfModel`](mrf::MrfModel), so the scheduler may co-dispatch
     /// them and a worker builds the model once per group.
     pub fn scene_digest(&self) -> u64 {
-        let scene = object(vec![
+        let scene = Value::object(vec![
             ("application", Value::String(self.kind.name().into())),
             ("scene", self.kind.scene_value()),
         ]);
@@ -503,7 +494,7 @@ pub struct JobResult {
 impl JobResult {
     /// The result as a minijson document.
     pub fn to_value(&self) -> Value {
-        object(vec![
+        Value::object(vec![
             ("type", Value::String("job_result".into())),
             ("id", Value::String(self.id.clone())),
             ("metric", Value::String(self.metric.clone())),

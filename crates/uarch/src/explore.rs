@@ -14,10 +14,9 @@ use crate::components;
 use crate::model::AreaPower;
 use ret_device::replicas_for_interference;
 use rsu::{analysis, RsuConfig};
-use serde::{Deserialize, Serialize};
 
 /// One candidate operating point on the Fig. 8 plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Time precision in bits.
     pub time_bits: u32,

@@ -1,14 +1,14 @@
 //! Determinism contract of the observability layer: attaching any
-//! observer — the no-op, a recording [`EnergyTrace`], or one that asks
+//! observer — the no-op, a recording one, or one that asks
 //! for per-site updates — must leave every engine's chain bit-identical
 //! to the unobserved run, including the RNG stream position for the
-//! sequential engines. Extends the PR 2 fused≡direct identity suite
+//! raster engine. Extends the fused≡direct identity suite
 //! (`tests/fused_kernel.rs`) to the observer axis, across all three
 //! engines at 1, 2 and 7 host threads.
 
 use mrf::{
-    DistanceFn, EnergyTrace, Label, LabelField, MrfModel, ParallelSweepSolver, Schedule,
-    SoftwareGibbs, SweepObserver, SweepRecord, SweepSolver, TabularMrf,
+    DistanceFn, Label, LabelField, MrfModel, ParallelSweepSolver, Schedule, SoftwareGibbs,
+    SweepObserver, SweepRecord, SweepSolver, TabularMrf,
 };
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -147,9 +147,11 @@ proptest! {
         }
     }
 
-    /// RSU array, parallel path: observed and unobserved sweeps agree
-    /// on the field and the cycle report at every thread count, and the
-    /// site-update stream is thread invariant.
+    /// RSU array: observed and unobserved sweeps agree on the field and
+    /// the cycle report at every thread count, the site-update stream is
+    /// thread invariant, and the incrementally tracked energy the
+    /// observer sees matches a fresh total-energy evaluation of the
+    /// final field.
     #[test]
     fn rsu_array_observation_never_perturbs_the_chain(
         model in arb_model(),
@@ -187,6 +189,12 @@ proptest! {
             prop_assert_eq!(&plain_reports, &obs_reports);
             let flips: u64 = recording.sweeps.iter().map(|r| r.flips).sum();
             prop_assert_eq!(recording.site_updates.len() as u64, flips);
+            let final_energy = recording.sweeps.last().unwrap().energy;
+            let true_energy = mrf::total_energy(&model, &obs_field);
+            prop_assert!(
+                (final_energy - true_energy).abs() < 1e-6 * true_energy.abs().max(1.0),
+                "incremental energy {} diverged from total {}", final_energy, true_energy
+            );
             match &reference {
                 None => reference = Some(recording.site_updates),
                 Some(r) => prop_assert_eq!(
@@ -195,43 +203,5 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// RSU array, sequential path: the observed sweep consumes exactly
-    /// as much randomness as the unobserved one and produces the same
-    /// field, and its incrementally-tracked energy matches a fresh
-    /// total-energy evaluation of the final field.
-    #[test]
-    fn rsu_sequential_sweep_observation_preserves_rng_consumption(
-        model in arb_model(),
-        seed in any::<u64>(),
-    ) {
-        let mut init_rng = Xoshiro256pp::seed_from_u64(seed);
-        let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-        let run = |observe: bool| {
-            let mut array = RsuArray::new(RsuConfig::new_design(), 4);
-            let mut field = start.clone();
-            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5eed);
-            let mut trace = EnergyTrace::new();
-            for iteration in 0..3usize {
-                if observe {
-                    array.sweep_observed(&model, &mut field, 1.2, iteration, &mut rng, &mut trace);
-                } else {
-                    array.sweep(&model, &mut field, 1.2, &mut rng);
-                }
-            }
-            (field, rng.next_u64(), trace)
-        };
-        let (plain_field, plain_next, _) = run(false);
-        let (obs_field, obs_next, trace) = run(true);
-        prop_assert_eq!(plain_field.as_slice(), obs_field.as_slice());
-        prop_assert_eq!(plain_next, obs_next, "observation changed RNG consumption");
-        prop_assert_eq!(trace.len(), 3);
-        let final_energy = trace.records().last().unwrap().energy;
-        let true_energy = mrf::total_energy(&model, &obs_field);
-        prop_assert!(
-            (final_energy - true_energy).abs() < 1e-6 * true_energy.abs().max(1.0),
-            "incremental energy {} diverged from total {}", final_energy, true_energy
-        );
     }
 }
