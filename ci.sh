@@ -18,8 +18,9 @@ if grep -Eq '^(bench|uarch) ' <<<"$serve_deps"; then
     exit 1
 fi
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches and examples are linted too.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The repository benchmark (perfbench/, a workspace of its own) builds
 # against retrsu-serve by path: an API change it depends on must fail

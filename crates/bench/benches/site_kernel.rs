@@ -3,7 +3,7 @@
 //! allocations, the pre-fusion implementation), the fused f64 path
 //! (precomputed pairwise table rows + scratch-reusing sampler), and the
 //! f32 fast path (`NumericPolicy::Fast`: f32 table rows, fused row-add
-//! + min tracking, polynomial `fast_exp_f32` weights), per distance
+//! with min tracking, polynomial `fast_exp_f32` weights), per distance
 //! function and label count `M ∈ {2, 8, 16, 64}`.
 //!
 //! Every variant performs one full checkerboard-free raster pass over a

@@ -6,17 +6,9 @@
 //!
 //! `--threshold <pct>` is accepted as an alias of `--tolerance`.
 //!
-//! Two export shapes are understood:
-//!
-//! * a `"results"` array — entries keyed on their `"config"` string;
-//!   every numeric field whose name contains `ns_per` (lower is
-//!   better) is compared;
-//! * a `"load_sweep"` object (the `BENCH_serve.json` shape) — each
-//!   point of every sweep array is keyed on its `"label"` string;
-//!   every numeric field ending in `_ms` (latency percentiles, lower
-//!   is better) is compared, plus `goodput_jobs_per_s` (throughput of
-//!   served jobs, *higher* is better — a drop beyond tolerance is the
-//!   regression).
+//! An export holds a `"results"` array of entries keyed on their
+//! `"config"` string; every numeric field whose name contains `ns_per`
+//! (lower is better) is compared.
 //!
 //! The process exits non-zero when any metric regresses by more than
 //! the tolerance (default 15%), so CI can diff a fresh bench run
@@ -95,17 +87,10 @@ fn main() -> ExitCode {
             }
             compared += 1;
             let change_pct = (new_value - base_value) / base_value * 100.0;
-            // Most metrics are costs (latency, ns/site): up is bad.
-            // Goodput is a rate: down is bad.
-            let bad_change_pct = if higher_is_better(metric) {
-                -change_pct
-            } else {
-                change_pct
-            };
-            let status = if bad_change_pct > tolerance {
+            let status = if change_pct > tolerance {
                 regressions += 1;
                 "REGRESSION"
-            } else if bad_change_pct < -tolerance {
+            } else if change_pct < -tolerance {
                 "improved"
             } else {
                 "ok"
@@ -138,62 +123,30 @@ fn main() -> ExitCode {
     }
 }
 
-/// The one collected metric where *more* is better; everything else
-/// (latency `_ms`, `ns_per` costs) regresses upward.
-fn higher_is_better(metric: &str) -> bool {
-    metric == "goodput_jobs_per_s"
-}
-
 /// Loads `path` and flattens it to `config → (metric → value)` for
 /// every gated metric: `"results"` entries keyed by `"config"` with
-/// `ns_per` fields, or `"load_sweep"` points keyed by `"label"` with
-/// `_ms` fields plus `goodput_jobs_per_s`.
+/// `ns_per` fields.
 fn load_results(path: &str) -> Result<BTreeMap<String, BTreeMap<String, f64>>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = minijson::parse(&text).map_err(|e| e.to_string())?;
-    if let Some(results) = doc.get("results").and_then(Value::as_array) {
-        let mut out = BTreeMap::new();
-        for entry in results {
-            let object = entry.as_object().ok_or("result entry is not an object")?;
-            let config = object
-                .get("config")
-                .and_then(Value::as_str)
-                .ok_or("result entry has no \"config\" string")?;
-            let mut metrics = BTreeMap::new();
-            for (key, value) in object {
-                if let (true, Some(v)) = (key.contains("ns_per"), value.as_f64()) {
-                    metrics.insert(key.clone(), v);
-                }
-            }
-            out.insert(config.to_string(), metrics);
-        }
-        return Ok(out);
-    }
-    if let Some(sweep) = doc.get("load_sweep").and_then(Value::as_object) {
-        let mut out = BTreeMap::new();
-        for (sweep_name, points) in sweep {
-            let Some(points) = points.as_array() else {
-                continue; // scalar sweep metadata, not a point array
-            };
-            for point in points {
-                let object = point
-                    .as_object()
-                    .ok_or_else(|| format!("{sweep_name} point is not an object"))?;
-                let label = object
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("{sweep_name} point has no \"label\" string"))?;
-                let mut metrics = BTreeMap::new();
-                for (key, value) in object {
-                    let gated = key.ends_with("_ms") || higher_is_better(key);
-                    if let (true, Some(v)) = (gated, value.as_f64()) {
-                        metrics.insert(key.clone(), v);
-                    }
-                }
-                out.insert(label.to_string(), metrics);
+    let results = doc
+        .get("results")
+        .and_then(Value::as_array)
+        .ok_or("document has no \"results\" array")?;
+    let mut out = BTreeMap::new();
+    for entry in results {
+        let object = entry.as_object().ok_or("result entry is not an object")?;
+        let config = object
+            .get("config")
+            .and_then(Value::as_str)
+            .ok_or("result entry has no \"config\" string")?;
+        let mut metrics = BTreeMap::new();
+        for (key, value) in object {
+            if let (true, Some(v)) = (key.contains("ns_per"), value.as_f64()) {
+                metrics.insert(key.clone(), v);
             }
         }
-        return Ok(out);
+        out.insert(config.to_string(), metrics);
     }
-    Err("document has neither a \"results\" array nor a \"load_sweep\" object".into())
+    Ok(out)
 }

@@ -5,61 +5,126 @@
 //!                 [--iterations I] [--seed S] [--out FILE.pgm]
 //! rsu_sim motion  [--patches P] [--sampler KIND] [--iterations I] [--seed S]
 //! rsu_sim segment [--regions R] [--segments K] [--sampler KIND] [--seed S]
+//!                 [--out FILE.pgm]
 //! rsu_sim design  [--lambda-bits L] [--time-bits T] [--truncation X]
+//!                 [--temperature T]
 //! ```
 //!
 //! `KIND` is one of `software`, `new`, `prev`. `design` prints the λ
 //! conversion table of the requested point plus its replica and cost
-//! figures.
+//! figures. Every flag takes a value, as `--name value` or
+//! `--name=value`. An unknown flag, a missing value or a value that
+//! does not parse exits with code 2 and a usage line.
 
 use chain::app::{annealing_schedule, segmentation_schedule};
 use chain::{Chain, Engine, SamplerKind};
 use mrf::{LabelField, MrfModel, NoopObserver, Schedule};
 use rsu::{EnergyToLambda, LutConverter, PipelineModel, RsuConfig, RsuG};
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
-use std::collections::HashMap;
 use std::process::ExitCode;
 use vision::image::labels_to_image;
 use vision::metrics::{bad_pixel_percentage, endpoint_error, variation_of_information};
 use vision::{MotionModel, SegmentModel, StereoModel};
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} is missing its value"))?;
-        flags.insert(key.to_owned(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
+/// A subcommand: its name, the flags it accepts and what it runs.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Flags) -> Result<(), String>,
+);
+
+const COMMANDS: [Command; 4] = [
+    (
+        "stereo",
+        &[
+            "--labels",
+            "--width",
+            "--height",
+            "--sampler",
+            "--iterations",
+            "--seed",
+            "--out",
+        ],
+        cmd_stereo,
+    ),
+    (
+        "motion",
+        &["--patches", "--sampler", "--iterations", "--seed"],
+        cmd_motion,
+    ),
+    (
+        "segment",
+        &["--regions", "--segments", "--sampler", "--seed", "--out"],
+        cmd_segment,
+    ),
+    (
+        "design",
+        &[
+            "--lambda-bits",
+            "--time-bits",
+            "--truncation",
+            "--temperature",
+        ],
+        cmd_design,
+    ),
+];
+
+/// The usage line of one subcommand.
+fn usage(command: &str, flags: &[&str]) -> String {
+    let flags: Vec<String> = flags.iter().map(|f| format!("[{f} <value>]")).collect();
+    format!("rsu_sim {command} {}", flags.join(" "))
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse '{v}'")),
+/// Rejects any argument that is not one of `known` flags. A flag's
+/// value is skipped unless it is another flag, whose missing value
+/// [`bench::flag_value`] then reports.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+        if !known.contains(&name) {
+            return Err(format!("unknown flag '{arg}'"));
+        }
+        if !arg.contains('=') && rest.peek().is_some_and(|next| !next.starts_with("--")) {
+            rest.next();
+        }
     }
+    Ok(())
 }
 
-fn sampler_kind(flags: &HashMap<String, String>) -> Result<SamplerKind, String> {
-    match flags.get("sampler").map(String::as_str).unwrap_or("new") {
-        "software" => Ok(SamplerKind::software()),
-        "new" => Ok(SamplerKind::new_rsu()),
-        "prev" => Ok(SamplerKind::previous_rsu()),
-        other => Err(format!(
-            "unknown sampler '{other}' (want software|new|prev)"
-        )),
+/// The command line of one subcommand: its arguments and usage line.
+struct Flags<'a> {
+    args: &'a [String],
+    usage: String,
+}
+
+impl Flags<'_> {
+    /// The value of `name`, or `None` when absent; exits with code 2
+    /// on a missing value.
+    fn text(&self, name: &str) -> Option<&str> {
+        bench::or_usage_exit(bench::flag_value(self.args, name), &self.usage)
+    }
+
+    /// The parsed value of `name`, or `default` when absent; exits with
+    /// code 2 when the value does not parse.
+    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        let parsed = match self.text(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse '{v}'")),
+        };
+        bench::or_usage_exit(parsed, &self.usage)
+    }
+
+    fn sampler(&self) -> SamplerKind {
+        let kind = match self.text("--sampler").unwrap_or("new") {
+            "software" => Ok(SamplerKind::software()),
+            "new" => Ok(SamplerKind::new_rsu()),
+            "prev" => Ok(SamplerKind::previous_rsu()),
+            other => Err(format!(
+                "unknown sampler '{other}' (want software|new|prev)"
+            )),
+        };
+        bench::or_usage_exit(kind, &self.usage)
     }
 }
 
@@ -83,13 +148,14 @@ fn solve<M: MrfModel + Sync>(
     chain.into_field()
 }
 
-fn cmd_stereo(flags: HashMap<String, String>) -> Result<(), String> {
-    let labels: usize = get(&flags, "labels", 24)?;
-    let width: usize = get(&flags, "width", 96)?;
-    let height: usize = get(&flags, "height", 72)?;
-    let iterations: usize = get(&flags, "iterations", 200)?;
-    let seed: u64 = get(&flags, "seed", 7)?;
-    let kind = sampler_kind(&flags)?;
+fn cmd_stereo(flags: &Flags) -> Result<(), String> {
+    let labels: usize = flags.get("--labels", 24);
+    let width: usize = flags.get("--width", 96);
+    let height: usize = flags.get("--height", 72);
+    let iterations: usize = flags.get("--iterations", 200);
+    let seed: u64 = flags.get("--seed", 7);
+    let kind = flags.sampler();
+    let out = flags.text("--out");
     let ds = StereoSpec {
         width,
         height,
@@ -107,7 +173,7 @@ fn cmd_stereo(flags: HashMap<String, String>) -> Result<(), String> {
         kind.name()
     );
     println!("bad pixels: {bp:.1} %");
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = out {
         labels_to_image(&field)
             .save_pgm(path)
             .map_err(|e| e.to_string())?;
@@ -116,11 +182,11 @@ fn cmd_stereo(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_motion(flags: HashMap<String, String>) -> Result<(), String> {
-    let patches: usize = get(&flags, "patches", 4)?;
-    let iterations: usize = get(&flags, "iterations", 150)?;
-    let seed: u64 = get(&flags, "seed", 7)?;
-    let kind = sampler_kind(&flags)?;
+fn cmd_motion(flags: &Flags) -> Result<(), String> {
+    let patches: usize = flags.get("--patches", 4);
+    let iterations: usize = flags.get("--iterations", 150);
+    let seed: u64 = flags.get("--seed", 7);
+    let kind = flags.sampler();
     let ds = FlowSpec {
         width: 96,
         height: 72,
@@ -144,11 +210,12 @@ fn cmd_motion(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_segment(flags: HashMap<String, String>) -> Result<(), String> {
-    let regions: usize = get(&flags, "regions", 4)?;
-    let segments: usize = get(&flags, "segments", 4)?;
-    let seed: u64 = get(&flags, "seed", 7)?;
-    let kind = sampler_kind(&flags)?;
+fn cmd_segment(flags: &Flags) -> Result<(), String> {
+    let regions: usize = flags.get("--regions", 4);
+    let segments: usize = flags.get("--segments", 4);
+    let seed: u64 = flags.get("--seed", 7);
+    let kind = flags.sampler();
+    let out = flags.text("--out");
     let ds = SegmentationSpec {
         width: 96,
         height: 72,
@@ -165,7 +232,7 @@ fn cmd_segment(flags: HashMap<String, String>) -> Result<(), String> {
         kind.name()
     );
     println!("variation of information: {voi:.3} bits");
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = out {
         labels_to_image(&field)
             .save_pgm(path)
             .map_err(|e| e.to_string())?;
@@ -174,11 +241,11 @@ fn cmd_segment(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_design(flags: HashMap<String, String>) -> Result<(), String> {
-    let lambda_bits: u32 = get(&flags, "lambda-bits", 4)?;
-    let time_bits: u32 = get(&flags, "time-bits", 5)?;
-    let truncation: f64 = get(&flags, "truncation", 0.5)?;
-    let temperature: f64 = get(&flags, "temperature", 8.0)?;
+fn cmd_design(flags: &Flags) -> Result<(), String> {
+    let lambda_bits: u32 = flags.get("--lambda-bits", 4);
+    let time_bits: u32 = flags.get("--time-bits", 5);
+    let truncation: f64 = flags.get("--truncation", 0.5);
+    let temperature: f64 = flags.get("--temperature", 8.0);
     let cfg = RsuConfig::builder()
         .lambda_bits(lambda_bits)
         .time_bits(time_bits)
@@ -220,22 +287,22 @@ fn cmd_design(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn usage() -> String {
-    "usage: rsu_sim <stereo|motion|segment|design> [--flag value]...\n\
-     run with a subcommand; see the binary's doc header for the flags"
-        .to_owned()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("stereo") => parse_flags(&args[1..]).and_then(cmd_stereo),
-        Some("motion") => parse_flags(&args[1..]).and_then(cmd_motion),
-        Some("segment") => parse_flags(&args[1..]).and_then(cmd_segment),
-        Some("design") => parse_flags(&args[1..]).and_then(cmd_design),
-        _ => Err(usage()),
+    let (command, rest) = args
+        .split_first()
+        .map_or(("", &[][..]), |(c, r)| (c.as_str(), r));
+    let found = COMMANDS.iter().find(|(name, ..)| *name == command);
+    let &(command, known, run) = bench::or_usage_exit(
+        found.ok_or_else(|| format!("want a subcommand, got {command:?}")),
+        "rsu_sim <stereo|motion|segment|design> [--flag value]...",
+    );
+    let flags = Flags {
+        args: rest,
+        usage: usage(command, known),
     };
-    match result {
+    bench::or_usage_exit(check_flags(rest, known), &flags.usage);
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 /// the value of the first occurrence (`None` when the flag is absent).
 /// A missing value — the end of the arguments, or another flag in its
 /// place (`--threads --trace out.jsonl`) — is an error.
-pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
     let prefix = format!("{name}=");
     for (i, arg) in args.iter().enumerate() {
         if *arg == name {

@@ -123,147 +123,6 @@ fn improvements_never_fail() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("improved"));
 }
 
-/// A minimal export in the `BENCH_serve.json` shape: sweeps of labeled
-/// load points under a `load_sweep` object.
-fn serve_doc(open: &[&str], closed: &[&str]) -> String {
-    format!(
-        "{{\n  \"benchmark\": \"serve\", \"host_cores\": 4,\n  \"load_sweep\": {{\n    \
-         \"single_stream_jobs_per_s\": 100.0,\n    \"open_loop\": [{}],\n    \
-         \"closed_loop\": [{}]\n  }}\n}}\n",
-        open.join(", "),
-        closed.join(", ")
-    )
-}
-
-#[test]
-fn serve_load_sweep_points_compare_latency_metrics_by_label() {
-    let base = temp_json(
-        "serve-base.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@1x\", \"jobs_per_s\": 200.0, \"p50_ms\": 4.0, \
-               \"p99_ms\": 10.0, \"cache_hit_ratio\": 0.33}",
-            ],
-            &["{\"label\": \"closed@c2\", \"p50_ms\": 5.0, \"p99_ms\": 12.0}"],
-        ),
-    );
-    let same = run_compare(&[base.to_str().unwrap(), base.to_str().unwrap()]);
-    assert!(
-        same.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&same.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&same.stdout);
-    // Latency percentiles compare; throughput and hit ratio are not
-    // lower-is-better `_ms` metrics and must be ignored.
-    assert!(stdout.contains("compared 4 metrics"), "stdout: {stdout}");
-
-    let regressed = temp_json(
-        "serve-regressed.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@1x\", \"jobs_per_s\": 150.0, \"p50_ms\": 4.1, \
-               \"p99_ms\": 30.0, \"cache_hit_ratio\": 0.33}",
-            ],
-            &["{\"label\": \"closed@c2\", \"p50_ms\": 5.0, \"p99_ms\": 12.0}"],
-        ),
-    );
-    let out = run_compare(&[base.to_str().unwrap(), regressed.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "tripled p99 must fail the gate");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
-}
-
-#[test]
-fn serve_schema_drift_warns_and_compares_the_intersection() {
-    let base = temp_json(
-        "serve-drift-base.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@1x\", \"p99_ms\": 10.0}",
-                "{\"label\": \"open@8x\", \"p99_ms\": 90.0}",
-            ],
-            &[],
-        ),
-    );
-    let new = temp_json(
-        "serve-drift-new.json",
-        &serve_doc(
-            &["{\"label\": \"open@1x\", \"p99_ms\": 10.5}"],
-            &["{\"label\": \"closed@c16\", \"p99_ms\": 40.0}"],
-        ),
-    );
-    let out = run_compare(&[base.to_str().unwrap(), new.to_str().unwrap()]);
-    assert!(out.status.success(), "sweep drift must warn, not fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("\"open@8x\" missing from"),
-        "stderr: {stderr}"
-    );
-    assert!(stderr.contains("\"closed@c16\" is new"), "stderr: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("compared 1 metrics"), "stdout: {stdout}");
-}
-
-#[test]
-fn goodput_is_gated_higher_is_better() {
-    let base = temp_json(
-        "serve-goodput-base.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@4x\", \"p99_ms\": 20.0, \"goodput_jobs_per_s\": 100.0, \
-               \"shed_ratio\": 0.25, \"achieved_jobs_per_s\": 390.0}",
-            ],
-            &[],
-        ),
-    );
-    // Goodput collapsed while latency held: that IS a regression.
-    let collapsed = temp_json(
-        "serve-goodput-collapsed.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@4x\", \"p99_ms\": 20.0, \"goodput_jobs_per_s\": 50.0, \
-               \"shed_ratio\": 0.80, \"achieved_jobs_per_s\": 390.0}",
-            ],
-            &[],
-        ),
-    );
-    let out = run_compare(&[base.to_str().unwrap(), collapsed.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "halved goodput must fail");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("REGRESSION") && stdout.contains("goodput_jobs_per_s"),
-        "stdout: {stdout}"
-    );
-    // Shed ratio and achieved rate are informational, not gated.
-    assert!(stdout.contains("compared 2 metrics"), "stdout: {stdout}");
-
-    // Goodput *rising* is an improvement, never a failure.
-    let improved = temp_json(
-        "serve-goodput-improved.json",
-        &serve_doc(
-            &[
-                "{\"label\": \"open@4x\", \"p99_ms\": 20.0, \"goodput_jobs_per_s\": 200.0, \
-               \"shed_ratio\": 0.05, \"achieved_jobs_per_s\": 390.0}",
-            ],
-            &[],
-        ),
-    );
-    let out = run_compare(&[base.to_str().unwrap(), improved.to_str().unwrap()]);
-    assert!(out.status.success(), "rising goodput must pass");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("improved"));
-
-    // A baseline predating the goodput field compares the intersection
-    // against a new export that has it: warn-free pass on the shared
-    // latency metric.
-    let legacy = temp_json(
-        "serve-goodput-legacy.json",
-        &serve_doc(&["{\"label\": \"open@4x\", \"p99_ms\": 20.0}"], &[]),
-    );
-    let out = run_compare(&[legacy.to_str().unwrap(), base.to_str().unwrap()]);
-    assert!(out.status.success(), "schema growth must not fail the gate");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("compared 1 metrics"));
-}
-
 #[test]
 fn malformed_inputs_exit_with_usage_code() {
     let good = temp_json(

@@ -11,19 +11,76 @@
 //! completion event), and the `serve_smoke` gate proves a hit's digest
 //! equals a cache-disabled recompute across a full server rerun.
 //!
-//! Eviction is least-recently-used over a fixed capacity: entries are
-//! stamped with a logical tick on insert and on every hit, and an
-//! insert into a full cache evicts the smallest stamp. The policy is
-//! deterministic — same submission order, same hits, same evictions —
-//! so cached and uncached runs stay reproducible.
+//! Eviction is least-recently-used over a fixed capacity ([`Lru`],
+//! shared with the worker's scene-model cache): entries are stamped
+//! with a logical tick on insert and on every hit, and an insert into
+//! a full cache evicts the smallest stamp. The policy is deterministic
+//! — same submission order, same hits, same evictions — so cached and
+//! uncached runs stay reproducible.
 
 use crate::spec::JobSpec;
 use std::collections::HashMap;
 
+/// A bounded least-recently-used map keyed by a 64-bit digest — the
+/// policy both the result cache and the worker's scene-model cache use.
+/// Entries are stamped with a logical tick on insert and on every hit;
+/// an insert into a full map evicts the smallest stamp. Capacity zero
+/// disables it: nothing is stored and every lookup misses.
+#[derive(Debug)]
+pub(crate) struct Lru<V> {
+    capacity: usize,
+    tick: u64,
+    entries: HashMap<u64, (V, u64)>,
+}
+
+impl<V> Lru<V> {
+    pub fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            tick: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// The value under `key`, refreshing its recency on a hit.
+    pub fn get(&mut self, key: u64) -> Option<&V> {
+        self.tick += 1;
+        let (value, stamp) = self.entries.get_mut(&key)?;
+        *stamp = self.tick;
+        Some(value)
+    }
+
+    /// Stores `value` under `key`, evicting the least-recently-used
+    /// entry when full. Re-inserting an existing key replaces its value
+    /// and refreshes its recency without evicting anything.
+    pub fn insert(&mut self, key: u64, value: V) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.tick += 1;
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            if let Some(&oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(key, _)| key)
+            {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.entries.insert(key, (value, self.tick));
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
 /// What a completed job leaves behind: everything a duplicate spec
 /// needs to answer without recomputing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CachedResult {
+pub(crate) struct CachedResult {
     /// Quality-metric name (`"bp"` / `"epe"` / `"voi"`).
     pub metric: &'static str,
     /// The metric's value.
@@ -36,10 +93,8 @@ pub struct CachedResult {
 
 /// A bounded LRU map from [`JobSpec::digest`] to [`CachedResult`].
 #[derive(Debug)]
-pub struct ResultCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<u64, (CachedResult, u64)>,
+pub(crate) struct ResultCache {
+    results: Lru<CachedResult>,
     hits: u64,
     misses: u64,
 }
@@ -49,9 +104,7 @@ impl ResultCache {
     /// caching entirely (every lookup misses, nothing is stored).
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
+            results: Lru::new(capacity),
             hits: 0,
             misses: 0,
         }
@@ -60,22 +113,12 @@ impl ResultCache {
     /// Looks up a spec's digest, refreshing its recency on a hit and
     /// recording the hit/miss in the counters.
     pub fn lookup(&mut self, spec: &JobSpec) -> Option<CachedResult> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return None;
+        let hit = self.results.get(spec.digest()).cloned();
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.tick += 1;
-        match self.entries.get_mut(&spec.digest()) {
-            Some((result, stamp)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                Some(result.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        hit
     }
 
     /// Stores a completed job's result under `digest`, evicting the
@@ -83,31 +126,19 @@ impl ResultCache {
     /// digest refreshes its recency (the payload is identical by
     /// determinism, so which copy survives is immaterial).
     pub fn insert(&mut self, digest: u64, result: CachedResult) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&digest) {
-            if let Some(&oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(key, _)| key)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(digest, (result, self.tick));
+        self.results.insert(digest, result);
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.results.len()
     }
 
     /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// `(hits, misses)` since construction.

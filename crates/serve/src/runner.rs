@@ -19,12 +19,12 @@
 //! bit-identical however many times the job was preempted, wherever it
 //! resumed, and at every host thread count.
 
+use crate::cache::Lru;
 use crate::spec::{field_digest, JobKind, JobSpec, SpecError};
 use chain::{App, Chain, ChainModel, Engine};
 use mrf::{Checkpoint, NoopObserver};
 use rsu::RsuArray;
 use scenes::{FlowSpec, SegmentationSpec, StereoSpec};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
 
@@ -99,21 +99,16 @@ fn build_app(spec: &JobSpec) -> Result<App, SpecError> {
 /// energy tables per slice. Models are immutable during sweeps, so
 /// sharing one behind an `Rc` cannot change what any chain computes;
 /// eviction is least-recently-used over a small capacity.
-pub struct SceneModelCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<u64, (Rc<App>, u64)>,
+pub(crate) struct SceneModelCache {
+    models: Lru<Rc<App>>,
     builds: u64,
 }
 
 impl SceneModelCache {
-    /// A cache holding at most `capacity` built models (zero disables
-    /// reuse: every materialization builds).
+    /// A cache holding at most `capacity` built models.
     pub fn new(capacity: usize) -> Self {
         SceneModelCache {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
+            models: Lru::new(capacity),
             builds: 0,
         }
     }
@@ -125,29 +120,13 @@ impl SceneModelCache {
     }
 
     fn get_or_build(&mut self, spec: &JobSpec) -> Result<Rc<App>, SpecError> {
-        if self.capacity == 0 {
-            self.builds += 1;
-            return Ok(Rc::new(build_app(spec)?));
-        }
-        self.tick += 1;
         let key = spec.scene_digest();
-        if let Some((model, stamp)) = self.entries.get_mut(&key) {
-            *stamp = self.tick;
+        if let Some(model) = self.models.get(key) {
             return Ok(Rc::clone(model));
         }
         self.builds += 1;
         let model = Rc::new(build_app(spec)?);
-        if self.entries.len() >= self.capacity {
-            if let Some(&oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(key, _)| key)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(key, (Rc::clone(&model), self.tick));
+        self.models.insert(key, Rc::clone(&model));
         Ok(model)
     }
 }
@@ -168,7 +147,7 @@ pub enum SliceStatus {
 
 /// A job materialized for execution: spec, application and [`Chain`].
 /// The application is behind an `Rc` so same-scene tasks on one worker
-/// can share a single build (see [`SceneModelCache`]).
+/// can share a single build through the worker's scene-model cache.
 pub struct JobTask {
     spec: JobSpec,
     app: Rc<App>,
@@ -181,17 +160,26 @@ impl JobTask {
     /// the initialization the figure drivers use, so a served job
     /// reproduces a CLI run with the same spec.
     pub fn start(spec: JobSpec) -> Result<Self, SpecError> {
-        let mut fresh = SceneModelCache::new(0);
-        Self::start_cached(spec, &mut fresh)
+        Self::start_with(spec, |spec| build_app(spec).map(Rc::new))
     }
 
     /// [`start`](Self::start), but resolving the model through a
     /// worker-local [`SceneModelCache`] so a same-scene group builds it
     /// once. Cached and uncached materialization run the same chain —
     /// the model is a pure function of the spec either way.
-    pub fn start_cached(spec: JobSpec, models: &mut SceneModelCache) -> Result<Self, SpecError> {
+    pub(crate) fn start_cached(
+        spec: JobSpec,
+        models: &mut SceneModelCache,
+    ) -> Result<Self, SpecError> {
+        Self::start_with(spec, |spec| models.get_or_build(spec))
+    }
+
+    fn start_with(
+        spec: JobSpec,
+        app_of: impl FnOnce(&JobSpec) -> Result<Rc<App>, SpecError>,
+    ) -> Result<Self, SpecError> {
         spec.validate()?;
-        let app = models.get_or_build(&spec)?;
+        let app = app_of(&spec)?;
         let chain = Chain::new(&*app, app.schedule(), spec.seed);
         Ok(JobTask { spec, app, chain })
     }
@@ -200,16 +188,23 @@ impl JobTask {
     /// is rebuilt from the spec; only field, progress and seed come
     /// from the checkpoint.
     pub fn resume(spec: JobSpec, checkpoint: &Checkpoint) -> Result<Self, SpecError> {
-        let mut fresh = SceneModelCache::new(0);
-        Self::resume_cached(spec, checkpoint, &mut fresh)
+        Self::resume_with(spec, checkpoint, |spec| build_app(spec).map(Rc::new))
     }
 
     /// [`resume`](Self::resume) through a worker-local
     /// [`SceneModelCache`].
-    pub fn resume_cached(
+    pub(crate) fn resume_cached(
         spec: JobSpec,
         checkpoint: &Checkpoint,
         models: &mut SceneModelCache,
+    ) -> Result<Self, SpecError> {
+        Self::resume_with(spec, checkpoint, |spec| models.get_or_build(spec))
+    }
+
+    fn resume_with(
+        spec: JobSpec,
+        checkpoint: &Checkpoint,
+        app_of: impl FnOnce(&JobSpec) -> Result<Rc<App>, SpecError>,
     ) -> Result<Self, SpecError> {
         spec.validate()?;
         checkpoint
@@ -227,7 +222,7 @@ impl JobTask {
                 checkpoint.next_iteration, spec.iterations
             )));
         }
-        let app = models.get_or_build(&spec)?;
+        let app = app_of(&spec)?;
         let (grid, num_labels) = app.label_space();
         if checkpoint.grid_width != grid.width()
             || checkpoint.grid_height != grid.height()

@@ -51,9 +51,8 @@ use std::path::PathBuf;
 /// terminal, whether queued, suspended or running. Cache hits never
 /// count (they complete at admission without consuming a worker).
 ///
-/// A limit of zero is treated as one: a queue that can hold nothing
-/// could never serve, and a blocking submit against it would park
-/// forever.
+/// A limit of zero is treated as one: a class that could hold nothing
+/// would shed every job it is sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueLimits {
     /// Maximum live interactive jobs.
@@ -133,21 +132,21 @@ impl fmt::Display for ShedReason {
 
 /// What [`AdmissionQueue::admit_bounded`] decided.
 #[derive(Debug)]
-pub enum AdmissionOutcome {
+pub(crate) enum AdmissionOutcome {
     /// The arrival was admitted; its entry is queued.
     Admitted,
     /// The arrival was admitted after evicting the returned queued
     /// entry (same class, never started). The caller owns the victim's
     /// `rejected` bookkeeping — its live counts are already released.
     AdmittedDisplacing(Box<Pending>),
-    /// The arrival lost: it was not queued and is handed back with the
-    /// reason. No queue state changed.
-    Shed(Box<Pending>, ShedReason),
+    /// The arrival lost, for the given reason: it was not queued and no
+    /// queue state changed.
+    Shed(ShedReason),
 }
 
 /// Where a dispatched job's chain state comes from.
 #[derive(Debug, Clone)]
-pub enum ResumeFrom {
+pub(crate) enum ResumeFrom {
     /// First slice: initialize the field from the spec's seed.
     Fresh,
     /// Quantum-expiry requeue: the checkpoint stayed in memory.
@@ -160,7 +159,7 @@ pub enum ResumeFrom {
 
 /// One queued (or suspended) job with its scheduling bookkeeping.
 #[derive(Debug, Clone)]
-pub struct Pending {
+pub(crate) struct Pending {
     /// The job.
     pub spec: JobSpec,
     /// [`JobSpec::digest`], computed once at admission (the result
@@ -174,11 +173,12 @@ pub struct Pending {
     pub cost: u64,
     /// Chain state to dispatch with.
     pub resume: ResumeFrom,
-    /// Whether a `started` event was already emitted (true once the
-    /// first slice dispatched).
+    /// Whether a `started` event was already emitted (set by the worker
+    /// that begins the job's first slice).
     pub started: bool,
-    /// Whether the next dispatch must emit a `resumed` event (set on
-    /// preemption; quantum-expiry requeues leave it false).
+    /// Whether the next slice must emit a `resumed` event (set on
+    /// preemption, cleared by the worker that resumes the job;
+    /// quantum-expiry requeues leave it false).
     pub resume_event_pending: bool,
     /// Times the job has been preempted.
     pub preemptions: u32,
@@ -186,10 +186,6 @@ pub struct Pending {
     pub sweeps_done: u64,
     /// Arrival order (FIFO tie-break key).
     pub submit_index: u64,
-    /// Server-clock submission time.
-    pub submit_t_ms: f64,
-    /// Server-clock first-dispatch time, once started.
-    pub first_start_t_ms: Option<f64>,
     /// Cached copy of the tenant's served-sweep count, kept in sync by
     /// [`AdmissionQueue::push`] and [`AdmissionQueue::credit`] so a
     /// dispatch decision is a single pass over the entries.
@@ -198,7 +194,7 @@ pub struct Pending {
 
 impl Pending {
     /// A fresh entry for a just-admitted spec.
-    pub fn new(spec: JobSpec, submit_index: u64, submit_t_ms: f64) -> Self {
+    pub fn new(spec: JobSpec, submit_index: u64) -> Self {
         let digest = spec.digest();
         let scene_digest = spec.scene_digest();
         let cost = spec.cost_estimate();
@@ -213,8 +209,6 @@ impl Pending {
             preemptions: 0,
             sweeps_done: 0,
             submit_index,
-            submit_t_ms,
-            first_start_t_ms: None,
             served_cache: 0,
         }
     }
@@ -231,7 +225,7 @@ struct TenantShare {
 /// The admission queue plus per-tenant served-sweep accounting and
 /// live per-class counts (the admission-control bookkeeping).
 #[derive(Debug, Default)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     entries: Vec<Pending>,
     tenants: BTreeMap<String, TenantShare>,
     live_interactive: usize,
@@ -247,11 +241,6 @@ impl AdmissionQueue {
     /// Queued entry count.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Registers a live job for `tenant` in `class`. Call once per
@@ -303,7 +292,8 @@ impl AdmissionQueue {
     }
 
     /// Tenants currently tracked by the fair-share ledger.
-    pub fn ledger_len(&self) -> usize {
+    #[cfg(test)]
+    fn ledger_len(&self) -> usize {
         self.tenants.len()
     }
 
@@ -312,41 +302,6 @@ impl AdmissionQueue {
     pub fn push(&mut self, mut pending: Pending) {
         pending.served_cache = self.served(&pending.spec.tenant);
         self.entries.push(pending);
-    }
-
-    /// Whether `admit_bounded` would shed `spec` right now, without
-    /// changing any state — the backpressure probe: a blocking submit
-    /// parks instead of shedding when this returns a reason.
-    pub fn would_shed(&self, spec: &JobSpec, limits: &QueueLimits) -> Option<ShedReason> {
-        let tenant_cap = limits.max_per_tenant.max(1);
-        if self.live_for_tenant(&spec.tenant) >= tenant_cap {
-            return Some(ShedReason::TenantLimit { limit: tenant_cap });
-        }
-        let class = spec.priority;
-        let class_cap = limits.class_limit(class);
-        if self.live_in_class(class) < class_cap {
-            return None;
-        }
-        // Class full: the arrival sheds unless a queued, never-started
-        // same-class entry loses the displacement contest to it.
-        let arrival_key = (
-            self.served(&spec.tenant),
-            spec.cost_estimate(),
-            u64::MAX, // newest by construction
-        );
-        let worst_queued = self
-            .entries
-            .iter()
-            .filter(|e| e.spec.priority == class && !e.started)
-            .map(|e| (e.served_cache, e.cost, e.submit_index))
-            .max();
-        match worst_queued {
-            Some(key) if key > arrival_key => None,
-            _ => Some(ShedReason::ClassFull {
-                class,
-                limit: class_cap,
-            }),
-        }
     }
 
     /// Bounded admission (DESIGN §14): checks `pending` against
@@ -372,30 +327,42 @@ impl AdmissionQueue {
     /// Classes have separate budgets: batch pressure can never shed a
     /// queued interactive job, and vice versa.
     pub fn admit_bounded(&mut self, pending: Pending, limits: &QueueLimits) -> AdmissionOutcome {
-        let Some(reason) = self.would_shed(&pending.spec, limits) else {
-            let class = pending.spec.priority;
-            if self.live_in_class(class) < limits.class_limit(class) {
-                self.admit(&pending.spec.tenant, class);
-                self.push(pending);
-                return AdmissionOutcome::Admitted;
-            }
-            // Class full but the arrival won the contest: evict the
-            // loser, then take its slot.
-            let victim_index = self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.spec.priority == class && !e.started)
-                .max_by_key(|(_, e)| (e.served_cache, e.cost, e.submit_index))
-                .map(|(i, _)| i)
-                .expect("contest winner implies a sheddable victim");
-            let victim = self.entries.swap_remove(victim_index);
-            self.finish(&victim.spec.tenant, class);
+        let tenant_cap = limits.max_per_tenant.max(1);
+        if self.live_for_tenant(&pending.spec.tenant) >= tenant_cap {
+            return AdmissionOutcome::Shed(ShedReason::TenantLimit { limit: tenant_cap });
+        }
+        let class = pending.spec.priority;
+        let class_cap = limits.class_limit(class);
+        if self.live_in_class(class) < class_cap {
             self.admit(&pending.spec.tenant, class);
             self.push(pending);
-            return AdmissionOutcome::AdmittedDisplacing(Box::new(victim));
+            return AdmissionOutcome::Admitted;
+        }
+        let arrival_key = (
+            self.served(&pending.spec.tenant),
+            pending.cost,
+            pending.submit_index,
+        );
+        let victim_index = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.spec.priority == class && !e.started)
+            .map(|(i, e)| ((e.served_cache, e.cost, e.submit_index), i))
+            .max()
+            .filter(|(key, _)| *key > arrival_key)
+            .map(|(_, i)| i);
+        let Some(victim_index) = victim_index else {
+            return AdmissionOutcome::Shed(ShedReason::ClassFull {
+                class,
+                limit: class_cap,
+            });
         };
-        AdmissionOutcome::Shed(Box::new(pending), reason)
+        let victim = self.entries.swap_remove(victim_index);
+        self.finish(&victim.spec.tenant, class);
+        self.admit(&pending.spec.tenant, class);
+        self.push(pending);
+        AdmissionOutcome::AdmittedDisplacing(Box::new(victim))
     }
 
     /// Credits `sweeps` executed on behalf of `tenant` to the
@@ -492,11 +459,7 @@ mod tests {
         let mut queue = AdmissionQueue::new();
         for (index, (id, tenant, priority)) in entries.iter().enumerate() {
             queue.admit(tenant, *priority);
-            queue.push(Pending::new(
-                spec(id, tenant, *priority),
-                index as u64,
-                index as f64,
-            ));
+            queue.push(Pending::new(spec(id, tenant, *priority), index as u64));
         }
         queue
     }
@@ -622,7 +585,6 @@ mod tests {
             queue.push(Pending::new(
                 spec_with_scene(id, tenant, *priority, *scene),
                 index as u64,
-                index as f64,
             ));
         }
         let head = queue.pop_next();
@@ -653,7 +615,7 @@ mod tests {
         spec: JobSpec,
         index: u64,
     ) -> AdmissionOutcome {
-        queue.admit_bounded(Pending::new(spec, index, index as f64), limits)
+        queue.admit_bounded(Pending::new(spec, index), limits)
     }
 
     #[test]
@@ -675,8 +637,7 @@ mod tests {
         // Same tenant, same cost: the newest arrival loses the contest.
         let outcome = submit_bounded(&mut queue, &limits, spec("b3", "t", Priority::Batch), 2);
         match outcome {
-            AdmissionOutcome::Shed(pending, reason) => {
-                assert_eq!(pending.spec.id, "b3");
+            AdmissionOutcome::Shed(reason) => {
                 assert_eq!(
                     reason,
                     ShedReason::ClassFull {
@@ -710,7 +671,7 @@ mod tests {
         let outcome = submit_bounded(&mut queue, &limits, spec("a2", "a", Priority::Batch), 1);
         assert!(matches!(
             outcome,
-            AdmissionOutcome::Shed(_, ShedReason::TenantLimit { limit: 1 })
+            AdmissionOutcome::Shed(ShedReason::TenantLimit { limit: 1 })
         ));
         // Another tenant still admits freely.
         let outcome = submit_bounded(&mut queue, &limits, spec("b1", "b", Priority::Batch), 2);
@@ -802,7 +763,7 @@ mod tests {
         );
         assert!(matches!(
             outcome,
-            AdmissionOutcome::Shed(_, ShedReason::ClassFull { .. })
+            AdmissionOutcome::Shed(ShedReason::ClassFull { .. })
         ));
     }
 
@@ -814,7 +775,7 @@ mod tests {
             ..QueueLimits::unbounded()
         };
         queue.admit("hog", Priority::Batch);
-        let mut running = Pending::new(costly_spec("run", "hog", Priority::Batch, 10_000), 0, 0.0);
+        let mut running = Pending::new(costly_spec("run", "hog", Priority::Batch, 10_000), 0);
         running.started = true;
         queue.push(running);
         queue.credit("hog", 1_000);
@@ -823,25 +784,8 @@ mod tests {
         let outcome = submit_bounded(&mut queue, &limits, spec("new", "new", Priority::Batch), 1);
         assert!(matches!(
             outcome,
-            AdmissionOutcome::Shed(_, ShedReason::ClassFull { .. })
+            AdmissionOutcome::Shed(ShedReason::ClassFull { .. })
         ));
         assert_eq!(queue.live_for_tenant("hog"), 1);
-    }
-
-    #[test]
-    fn would_shed_is_a_pure_probe() {
-        let mut queue = AdmissionQueue::new();
-        let limits = QueueLimits {
-            max_batch: 1,
-            ..QueueLimits::unbounded()
-        };
-        let probe = spec("p", "t", Priority::Batch);
-        assert_eq!(queue.would_shed(&probe, &limits), None);
-        submit_bounded(&mut queue, &limits, spec("b1", "t", Priority::Batch), 0);
-        // Same tenant/cost, newer: the probe would shed — and probing
-        // does not mutate the queue.
-        assert!(queue.would_shed(&probe, &limits).is_some());
-        assert_eq!(queue.live_in_class(Priority::Batch), 1);
-        assert_eq!(queue.len(), 1);
     }
 }

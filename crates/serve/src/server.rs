@@ -37,6 +37,10 @@
 //!   worker-local LRU across slices). A batch still honors preemption:
 //!   the flag is polled at every sweep boundary, and members the flag
 //!   beats to the worker are handed back untouched.
+//!
+//! `started` and `resumed` come from the worker, when it takes a job
+//! up: a dispatched member the preempt flag beats to the worker never
+//! began, so its hand-back leaves no event behind.
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::events::{JobEvent, JobState};
@@ -48,7 +52,7 @@ use crate::spec::{JobResult, JobSpec, Priority, SpecError};
 use chain::trace_jsonl::JsonlTraceWriter;
 use mrf::Checkpoint;
 use rsu::{RsuArray, RsuConfig};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -127,8 +131,7 @@ pub struct ServeOutcome {
     /// each appears in `results` with `rejected: true`.
     pub shed_jobs: u64,
     /// High-water mark of the admission queue's length — bounded by the
-    /// configured [`QueueLimits`], the overload gauge the load sweep
-    /// plots.
+    /// configured [`QueueLimits`]; the overload gauge.
     pub peak_queued: usize,
 }
 
@@ -209,14 +212,20 @@ pub enum WaitOutcome {
 
 /// The unified message stream the scheduler drains.
 enum Msg {
-    /// A validated spec plus the submitter's reply slot. With
-    /// `backpressure` the submission parks (FIFO) when admission
-    /// control would shed it, and the reply — the blocking part of
-    /// `submit_blocking` — arrives once the job really admits.
+    /// A validated spec plus the submitter's reply slot.
     Submit {
         spec: JobSpec,
-        backpressure: bool,
         reply: Sender<Result<Admission, SpecError>>,
+    },
+    /// A worker took a batch member up and is about to sweep it: the
+    /// job's `started` (first slice) or `resumed` (first slice after a
+    /// preemption) event. Sent ahead of the member's `Sliced` report on
+    /// the same channel, so the scheduler sees the two in order.
+    Began {
+        worker: u32,
+        job: String,
+        state: JobState,
+        sweep: u64,
     },
     Sliced {
         worker: u32,
@@ -277,6 +286,22 @@ fn worker_loop(
                 });
                 continue;
             }
+            let mut entry = entry;
+            if !entry.started || entry.resume_event_pending {
+                let state = if entry.started {
+                    JobState::Resumed
+                } else {
+                    JobState::Started
+                };
+                entry.started = true;
+                entry.resume_event_pending = false;
+                let _ = replies.send(Msg::Began {
+                    worker,
+                    job: entry.spec.id.clone(),
+                    state,
+                    sweep: entry.sweeps_done,
+                });
+            }
             let materialized = match &entry.resume {
                 ResumeFrom::Fresh => JobTask::start_cached(entry.spec.clone(), &mut models),
                 ResumeFrom::Memory(checkpoint) => {
@@ -333,7 +358,6 @@ fn worker_loop(
                     checkpoint: Box::new(task.checkpoint()),
                 },
             };
-            let mut entry = entry;
             entry.sweeps_done = task.sweeps_done();
             let _ = replies.send(Msg::Sliced {
                 worker,
@@ -357,12 +381,12 @@ struct Scheduler {
     events: Vec<JobEvent>,
     results: Vec<JobResult>,
     submit_t: BTreeMap<String, f64>,
+    /// `started` time per job that has begun and not yet finished (the
+    /// end of its queue wait).
+    start_t: BTreeMap<String, f64>,
     /// Terminal state per job id, for replaying to late waiters.
     terminal: BTreeMap<String, JobState>,
     waiters: Vec<(String, JobState, Sender<WaitOutcome>)>,
-    /// Backpressured submissions waiting for admission capacity, FIFO.
-    /// Counted in `in_flight` so a drain waits for them.
-    parked: VecDeque<(JobSpec, Sender<Result<Admission, SpecError>>)>,
     poll_round_trips: u64,
     trace: Option<JsonlTraceWriter<BufWriter<fs::File>>>,
     in_flight: usize,
@@ -416,12 +440,7 @@ impl Scheduler {
         self.emit(event);
     }
 
-    fn on_submit(
-        &mut self,
-        spec: JobSpec,
-        backpressure: bool,
-        reply: Sender<Result<Admission, SpecError>>,
-    ) {
+    fn on_submit(&mut self, spec: JobSpec, reply: Sender<Result<Admission, SpecError>>) {
         if self.submit_t.contains_key(&spec.id) {
             // Two jobs sharing an id would corrupt waiter wakeup and
             // lifecycle validation (both keyed by the id string):
@@ -470,52 +489,30 @@ impl Scheduler {
             let _ = reply.send(Ok(Admission::Cached));
             return;
         }
-        if let Some(reason) = self.queue.would_shed(&spec, &self.config.limits) {
-            if backpressure {
-                // Accept-with-backpressure: park FIFO; the submitter
-                // stays blocked until capacity admits the job.
-                self.in_flight += 1;
-                self.parked.push_back((spec, reply));
+        let id = spec.id.clone();
+        let pending = Pending::new(spec, self.submit_counter);
+        match self.queue.admit_bounded(pending, &self.config.limits) {
+            AdmissionOutcome::Shed(reason) => {
+                self.shed_jobs += 1;
+                self.finish_rejected(&id, reason);
+                let _ = reply.send(Ok(Admission::Rejected(reason)));
                 return;
             }
-            self.shed_jobs += 1;
-            self.finish_rejected(&spec.id, reason);
-            let _ = reply.send(Ok(Admission::Rejected(reason)));
-            return;
-        }
-        self.in_flight += 1;
-        self.admit_now(spec, reply);
-        // A displacement may have freed a tenant slot a parked
-        // submission fits into.
-        self.try_unpark();
-        self.dispatch_and_preempt();
-    }
-
-    /// Queues a spec the admission probe cleared, emitting `admitted`
-    /// and answering the submitter. The caller has already counted the
-    /// job in `in_flight`.
-    fn admit_now(&mut self, spec: JobSpec, reply: Sender<Result<Admission, SpecError>>) {
-        let now = self.now_ms();
-        let index = self.submit_counter;
-        self.submit_counter += 1;
-        self.emit_queue_side(&spec.id, JobState::Admitted, None);
-        let pending = Pending::new(spec, index, now);
-        match self.queue.admit_bounded(pending, &self.config.limits) {
-            AdmissionOutcome::Admitted => {}
+            AdmissionOutcome::Admitted => {
+                self.emit_queue_side(&id, JobState::Admitted, None);
+            }
             AdmissionOutcome::AdmittedDisplacing(victim) => {
+                self.emit_queue_side(&id, JobState::Admitted, None);
                 self.shed_jobs += 1;
                 self.finish_rejected(&victim.spec.id, ShedReason::Displaced);
                 self.in_flight -= 1;
             }
-            AdmissionOutcome::Shed(pending, reason) => {
-                unreachable!(
-                    "probe admitted {:?} but the queue shed it: {reason}",
-                    pending.spec.id
-                )
-            }
         }
+        self.submit_counter += 1;
+        self.in_flight += 1;
         self.peak_queued = self.peak_queued.max(self.queue.len());
         let _ = reply.send(Ok(Admission::Queued));
+        self.dispatch_and_preempt();
     }
 
     /// Emits the terminal `rejected` event and the `rejected: true`
@@ -539,20 +536,6 @@ impl Scheduler {
         });
     }
 
-    /// Admits parked (backpressured) submissions while the front of the
-    /// backlog fits. Strictly FIFO — a smaller job never jumps a parked
-    /// earlier one — keeping backpressure deterministic and
-    /// starvation-free.
-    fn try_unpark(&mut self) {
-        while let Some((spec, _)) = self.parked.front() {
-            if self.queue.would_shed(spec, &self.config.limits).is_some() {
-                return;
-            }
-            let (spec, reply) = self.parked.pop_front().expect("front exists");
-            self.admit_now(spec, reply);
-        }
-    }
-
     /// Fills free workers from the queue — each dispatch takes the best
     /// entry plus up to `scene_batch - 1` same-scene, same-class
     /// companions — then, if the queue still holds an entry outranking
@@ -571,35 +554,6 @@ impl Scheduler {
                     break;
                 };
                 entries.push(companion);
-            }
-            let now = self.now_ms();
-            for entry in &mut entries {
-                if !entry.started {
-                    entry.started = true;
-                    entry.first_start_t_ms = Some(now);
-                    let event = JobEvent {
-                        job: entry.spec.id.clone(),
-                        state: JobState::Started,
-                        t_ms: now,
-                        worker: Some(free as u32),
-                        sweep: entry.sweeps_done,
-                        cached: false,
-                        detail: None,
-                    };
-                    self.emit(event);
-                } else if entry.resume_event_pending {
-                    entry.resume_event_pending = false;
-                    let event = JobEvent {
-                        job: entry.spec.id.clone(),
-                        state: JobState::Resumed,
-                        t_ms: now,
-                        worker: Some(free as u32),
-                        sweep: entry.sweeps_done,
-                        cached: false,
-                        detail: None,
-                    };
-                    self.emit(event);
-                }
             }
             let preempt = Arc::new(AtomicBool::new(false));
             self.running[free] = Some(RunningSlice {
@@ -630,6 +584,24 @@ impl Scheduler {
             slice.preempt_requested = true;
             slice.preempt.store(true, Ordering::Release);
         }
+    }
+
+    /// A worker began sweeping a job: emits its `started` or `resumed`
+    /// event, and the first `started` ends the job's queue wait.
+    fn on_began(&mut self, worker: u32, job: String, state: JobState, sweep: u64) {
+        let now = self.now_ms();
+        if state == JobState::Started {
+            self.start_t.insert(job.clone(), now);
+        }
+        self.emit(JobEvent {
+            job,
+            state,
+            t_ms: now,
+            worker: Some(worker),
+            sweep,
+            cached: false,
+            detail: None,
+        });
     }
 
     fn on_sliced(&mut self, worker: u32, mut entry: Pending, sweeps_run: u64, report: SliceReport) {
@@ -672,6 +644,7 @@ impl Scheduler {
                     },
                 );
                 let submit_t = self.submit_t.get(&entry.spec.id).copied().unwrap_or(0.0);
+                let start_t = self.start_t.remove(&entry.spec.id).unwrap_or(now);
                 self.results.push(JobResult {
                     id: entry.spec.id.clone(),
                     metric: metric.to_string(),
@@ -679,7 +652,7 @@ impl Scheduler {
                     field_digest,
                     iterations: entry.spec.iterations,
                     preemptions: entry.preemptions,
-                    wait_ms: entry.first_start_t_ms.unwrap_or(now) - submit_t,
+                    wait_ms: start_t - submit_t,
                     latency_ms: now - submit_t,
                     cached: false,
                     rejected: false,
@@ -734,12 +707,11 @@ impl Scheduler {
                     detail: Some(message),
                 };
                 self.emit(event);
+                self.start_t.remove(&entry.spec.id);
                 self.queue.finish(&entry.spec.tenant, entry.spec.priority);
                 self.in_flight -= 1;
             }
         }
-        // Freed capacity admits parked submissions before dispatch.
-        self.try_unpark();
         self.dispatch_and_preempt();
     }
 
@@ -765,16 +737,11 @@ fn wait_on(cmd: &Sender<Msg>, job: &str, state: JobState) -> WaitOutcome {
     rx.recv().unwrap_or(WaitOutcome::Disconnected)
 }
 
-fn submit_on(
-    cmd: &Sender<Msg>,
-    spec: &JobSpec,
-    backpressure: bool,
-) -> Result<Admission, SpecError> {
+fn submit_on(cmd: &Sender<Msg>, spec: &JobSpec) -> Result<Admission, SpecError> {
     spec.validate()?;
     let (tx, rx) = mpsc::channel();
     cmd.send(Msg::Submit {
         spec: spec.clone(),
-        backpressure,
         reply: tx,
     })
     .map_err(|_| SpecError::new("server is shut down"))?;
@@ -794,12 +761,7 @@ pub struct ServeClient {
 impl ServeClient {
     /// Validates and submits a job (see [`ServeHandle::submit`]).
     pub fn submit(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, false)
-    }
-
-    /// Submits with backpressure (see [`ServeHandle::submit_blocking`]).
-    pub fn submit_blocking(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, true)
+        submit_on(&self.cmd, spec)
     }
 
     /// Blocks until the given job has emitted the given lifecycle event
@@ -824,16 +786,7 @@ impl ServeHandle {
     /// ids are synchronous typed errors — an invalid spec never enters
     /// the system and emits no events.
     pub fn submit(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, false)
-    }
-
-    /// Like [`submit`](ServeHandle::submit), but when admission control
-    /// would shed the job the call *blocks* — the job parks in a FIFO
-    /// backlog and admits as capacity frees — so it never returns
-    /// [`Admission::Rejected`]. The backpressure variant for clients
-    /// that prefer waiting over losing work.
-    pub fn submit_blocking(&self, spec: &JobSpec) -> Result<Admission, SpecError> {
-        submit_on(&self.cmd, spec, true)
+        submit_on(&self.cmd, spec)
     }
 
     /// A cloneable endpoint for submitting from other threads.
@@ -937,9 +890,9 @@ pub fn serve(config: ServerConfig) -> ServeHandle {
                 events: Vec::new(),
                 results: Vec::new(),
                 submit_t: BTreeMap::new(),
+                start_t: BTreeMap::new(),
                 terminal: BTreeMap::new(),
                 waiters: Vec::new(),
-                parked: VecDeque::new(),
                 poll_round_trips: 0,
                 trace,
                 in_flight: 0,
@@ -949,11 +902,13 @@ pub fn serve(config: ServerConfig) -> ServeHandle {
             };
             while let Ok(msg) = cmd_rx.recv() {
                 match msg {
-                    Msg::Submit {
-                        spec,
-                        backpressure,
-                        reply,
-                    } => state.on_submit(spec, backpressure, reply),
+                    Msg::Submit { spec, reply } => state.on_submit(spec, reply),
+                    Msg::Began {
+                        worker,
+                        job,
+                        state: began,
+                        sweep,
+                    } => state.on_began(worker, job, began, sweep),
                     Msg::Sliced {
                         worker,
                         entry,
@@ -1445,36 +1400,61 @@ mod tests {
     }
 
     #[test]
-    fn blocking_submit_parks_until_capacity_frees_and_never_sheds() {
+    fn started_and_resumed_come_from_the_worker_when_a_job_begins() {
         let handle = serve(ServerConfig {
             workers: 1,
-            quantum: 4,
-            limits: QueueLimits {
-                max_batch: 1,
-                ..QueueLimits::unbounded()
-            },
+            quantum: 1_000, // above every job's iterations
             ..ServerConfig::default()
         });
+        let batch = |i: u64| JobSpec {
+            id: format!("b{i}"),
+            seed: 100 + i,
+            ..spec("", "t", Priority::Batch, 400)
+        };
+        handle.submit(&batch(0)).unwrap();
+        handle.wait_for("b0", JobState::Started);
+        // Same-scene companions queue behind b0 and are co-dispatched
+        // as one group; the interactive arrival preempts whatever runs.
+        for i in 1..=3 {
+            handle.submit(&batch(i)).unwrap();
+        }
         handle
-            .submit(&spec("b1", "t", Priority::Batch, 12))
+            .submit(&JobSpec {
+                id: "urgent".into(),
+                seed: 1,
+                ..spec("", "u", Priority::Interactive, 20)
+            })
             .unwrap();
-        let client = handle.client();
-        let parked = std::thread::spawn(move || {
-            client.submit_blocking(&spec("b2", "u", Priority::Batch, 6))
-        });
-        // The parked submission admits once b1 finishes; the blocked
-        // submitter gets Queued, never Rejected, and the job then
-        // completes like any other.
-        assert_eq!(parked.join().unwrap().unwrap(), Admission::Queued);
-        assert_eq!(
-            handle.wait_for("b2", JobState::Completed),
-            WaitOutcome::Reached
-        );
         let outcome = handle.finish();
         validate_lifecycle(&outcome.events).unwrap();
-        assert_eq!(outcome.shed_jobs, 0);
-        assert_eq!(outcome.results.len(), 2);
-        assert!(outcome.results.iter().all(|r| !r.rejected));
-        assert!(outcome.peak_queued <= 1, "the bound held: {outcome:?}");
+        assert_eq!(outcome.results.len(), 5);
+        // On the one worker, a job that begins runs until it yields or
+        // ends: nothing else begins in between, and a member handed
+        // back unrun leaves no event.
+        let execution: Vec<&JobEvent> = outcome
+            .events
+            .iter()
+            .filter(|e| e.worker.is_some())
+            .collect();
+        for (index, event) in execution.iter().enumerate() {
+            if !matches!(event.state, JobState::Started | JobState::Resumed) {
+                continue;
+            }
+            let next = execution
+                .get(index + 1)
+                .unwrap_or_else(|| panic!("{} {} is the last event", event.job, event.state));
+            assert!(
+                next.job == event.job
+                    && matches!(
+                        next.state,
+                        JobState::Preempted | JobState::Completed | JobState::Failed
+                    ),
+                "{} {} is followed by {} {}",
+                event.job,
+                event.state,
+                next.job,
+                next.state
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! Latency statistics for the serving benchmarks and reporters.
+//! Latency statistics for the serving benchmark and reporters.
 //!
-//! The single entry point is [`percentile`], shared by `bench_serve`
-//! and `serve_smoke` so every reporter sorts with [`f64::total_cmp`].
+//! The single entry point is [`percentile`], shared by perfbench and
+//! `serve_smoke` so every reporter sorts with [`f64::total_cmp`].
 //! The previous per-binary copies sorted with
 //! `partial_cmp().expect(...)` / `unwrap()`, which panics the reporter
 //! on a NaN sample — and NaN *does* occur in practice: a latency

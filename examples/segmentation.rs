@@ -44,7 +44,8 @@ fn main() -> Result<(), ret_rsu::vision::VisionError> {
     let hw = solve(&model, &mut RsuG::new_design(), 3);
 
     println!("\nmetric                     software   new RSU-G   (vs generating partition)");
-    let rows: [(&str, fn(&mrf::LabelField, &mrf::LabelField) -> f64, &str); 4] = [
+    type Metric = fn(&mrf::LabelField, &mrf::LabelField) -> f64;
+    let rows: [(&str, Metric, &str); 4] = [
         (
             "Variation of Information",
             variation_of_information,

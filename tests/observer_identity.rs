@@ -108,7 +108,8 @@ proptest! {
     ) {
         let mut init_rng = Xoshiro256pp::seed_from_u64(seed);
         let start = LabelField::random(model.grid(), model.num_labels(), &mut init_rng);
-        let mut reference: Option<(Vec<f64>, Vec<(usize, usize, Label, Label)>)> = None;
+        type Streams = (Vec<f64>, Vec<(usize, usize, Label, Label)>);
+        let mut reference: Option<Streams> = None;
         for threads in [1usize, 2, 7] {
             let solver = ParallelSweepSolver::new(&model);
             let solver = solver
